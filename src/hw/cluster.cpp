@@ -29,8 +29,8 @@ Cluster::Cluster(sim::Engine& engine, ClusterParams params)
   for (int i = 0; i < params.nodes; ++i)
     nodes_.push_back(std::make_unique<Node>(engine, i, params.node));
   network_ = std::make_unique<Network>(*this, params.rpc_latency, params.node.nic_latency);
-  bb_ = std::make_unique<BurstBuffer>(engine, params.bb);
-  pfs_ = std::make_unique<PfsDevice>(engine, params.pfs);
+  bb_ = std::make_unique<DeviceArray>(engine, params.bb);
+  pfs_ = std::make_unique<DeviceArray>(engine, params.pfs);
 }
 
 }  // namespace uvs::hw

@@ -1,11 +1,12 @@
 #include "src/meta/record_index.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace uvs::meta {
 
 void RecordIndex::Insert(const MetadataRecord& record) {
-  store_.Put(Key{record.fid, record.offset}, record);
+  records_.insert_or_assign(Key{record.fid, record.offset}, record);
 }
 
 std::vector<MetadataRecord> RecordIndex::Query(storage::FileId fid, Bytes offset,
@@ -14,10 +15,11 @@ std::vector<MetadataRecord> RecordIndex::Query(storage::FileId fid, Bytes offset
   if (len == 0) return out;
   const Bytes end = offset + len;
 
+  auto it = records_.lower_bound(Key{fid, offset});
   // A record starting before `offset` can still overlap it.
-  if (auto floor = store_.FloorEntry(Key{fid, offset})) {
-    const MetadataRecord& rec = floor->second;
-    if (rec.fid == fid && rec.end() > offset && rec.offset < offset) {
+  if (it != records_.begin()) {
+    const MetadataRecord& rec = std::prev(it)->second;
+    if (rec.fid == fid && rec.end() > offset) {
       MetadataRecord clipped = rec;
       const Bytes skip = offset - rec.offset;
       clipped.offset = offset;
@@ -26,8 +28,8 @@ std::vector<MetadataRecord> RecordIndex::Query(storage::FileId fid, Bytes offset
       out.push_back(clipped);
     }
   }
-  for (auto& [key, rec] : store_.Scan(Key{fid, offset}, Key{fid, end})) {
-    MetadataRecord clipped = rec;
+  for (; it != records_.end() && it->first < Key{fid, end}; ++it) {
+    MetadataRecord clipped = it->second;
     if (clipped.end() > end) clipped.len = end - clipped.offset;
     out.push_back(clipped);
   }
@@ -42,11 +44,11 @@ Bytes RecordIndex::CoveredBytes(storage::FileId fid, Bytes offset, Bytes len) co
 
 std::vector<MetadataRecord> RecordIndex::All() const {
   std::vector<MetadataRecord> out;
-  out.reserve(store_.size());
-  for (auto& [key, rec] : store_.Entries()) out.push_back(rec);
+  out.reserve(records_.size());
+  for (const auto& [key, rec] : records_) out.push_back(rec);
   return out;
 }
 
-void RecordIndex::Clear() { store_.Clear(); }
+void RecordIndex::Clear() { records_.clear(); }
 
 }  // namespace uvs::meta

@@ -4,16 +4,16 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
-#include "src/kv/local_store.hpp"
 #include "src/meta/record.hpp"
 
 namespace uvs::meta {
 
 class RecordIndex {
  public:
-  std::size_t size() const { return store_.size(); }
+  std::size_t size() const { return records_.size(); }
 
   /// Records must not partially overlap existing ones; re-inserting the
   /// exact same (fid, offset) replaces it (overwrite-in-place).
@@ -37,7 +37,7 @@ class RecordIndex {
     Bytes offset;
     auto operator<=>(const Key&) const = default;
   };
-  kv::LocalStore<Key, MetadataRecord> store_;
+  std::map<Key, MetadataRecord> records_;
 };
 
 }  // namespace uvs::meta

@@ -85,8 +85,10 @@ std::vector<Placement> DhpWriterChain::Append(Bytes len) {
     for (const auto& placement : out)
       obs::Count(LayerBytesCounter(placement.layer), placement.extent.len);
     // A chain hop = the append could not be satisfied by the first layer
-    // alone (DHP spilled down the hierarchy, §II-B1).
-    if (out.size() > 1 || (!out.empty() && out.front().layer != stores_.front()->layer()))
+    // alone (DHP spilled down the hierarchy, §II-B1). A chain with no cache
+    // layer (UniviStor-on-Disk) writes the PFS directly and never spills.
+    if (out.size() > 1 || (!out.empty() && !stores_.empty() &&
+                           out.front().layer != stores_.front()->layer()))
       obs::Count("placement.spills");
   }
   return out;

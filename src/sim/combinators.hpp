@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/sim/engine.hpp"
+#include "src/sim/fair_share.hpp"
 #include "src/sim/task.hpp"
 
 namespace uvs::sim {
@@ -16,5 +17,8 @@ inline Task WhenAll(Engine& engine, std::vector<Task> tasks) {
   for (auto& task : tasks) procs.push_back(engine.Spawn(std::move(task)));
   for (auto& proc : procs) co_await proc.Done().Wait();
 }
+
+/// One transfer through `pool` as a task, so it can run as a WhenAll leg.
+inline Task PoolTransfer(FairSharePool& pool, Bytes bytes) { co_await pool.Transfer(bytes); }
 
 }  // namespace uvs::sim

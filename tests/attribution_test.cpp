@@ -42,7 +42,7 @@ obs::Report RunMicroAttributed(obs::Recorder& recorder, int degrade_ost = -1,
     options.cluster_params.seed = 42;
     Scenario scenario(options);
     if (degrade_ost >= 0) {
-      hw::PfsDevice* pfs = &scenario.cluster().pfs();
+      hw::DeviceArray* pfs = &scenario.cluster().pfs();
       scenario.engine().Schedule(0.01, [pfs, degrade_ost] {
         pfs->Degrade(degrade_ost, 0.02);
       });
@@ -161,7 +161,9 @@ TEST(Attribution, CriticalPathCoversTheSlowestRankWindow) {
   for (std::size_t i = 0; i < report.critical_path.size(); ++i) {
     const auto& seg = report.critical_path[i];
     EXPECT_GT(seg.end, seg.start);
-    if (i > 0) EXPECT_GE(seg.start, report.critical_path[i - 1].end - 1e-9);
+    if (i > 0) {
+      EXPECT_GE(seg.start, report.critical_path[i - 1].end - 1e-9);
+    }
     covered += seg.duration();
   }
   EXPECT_NEAR(covered, report.critical_elapsed, 1e-3 * report.critical_elapsed);

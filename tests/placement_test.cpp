@@ -2,6 +2,9 @@
 // adaptive striping (Eqs. 2–6).
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/obs/recorder.hpp"
 #include "src/placement/dhp.hpp"
 #include "src/placement/striping.hpp"
 #include "src/placement/virtual_address.hpp"
@@ -54,14 +57,20 @@ TEST(VirtualAddress, SameVaDifferentProducersNeedProcId) {
 
 class VaRoundTrip : public ::testing::TestWithParam<std::tuple<int, Bytes>> {};
 
+// Every bounded-layer address at or past its log capacity must be rejected
+// (it would alias the next layer's VAs); every other address round-trips.
 TEST_P(VaRoundTrip, EncodeDecodeIsIdentity) {
   const auto [layer_idx, phys] = GetParam();
-  VirtualAddressCodec codec({1000, 500, 2000, 0});
+  const std::vector<Bytes> caps{1000, 500, 2000, 0};
+  VirtualAddressCodec codec(caps);
   const auto layer = static_cast<Layer>(layer_idx);
   auto va = codec.Encode(layer, phys);
-  if (!va.ok()) {
-    GTEST_SKIP() << "address beyond layer capacity";
+  if (layer_idx < 3 && phys >= caps[static_cast<std::size_t>(layer_idx)]) {
+    ASSERT_FALSE(va.ok());
+    EXPECT_EQ(va.status().code(), StatusCode::kOutOfRange);
+    return;
   }
+  ASSERT_TRUE(va.ok());
   auto back = codec.Decode(*va);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->layer, layer);
@@ -140,6 +149,20 @@ TEST(Dhp, ZeroCapacityLayerIsSkipped) {
   auto placements = chain.Append(100);
   ASSERT_EQ(placements.size(), 1u);
   EXPECT_EQ(placements[0].layer, Layer::kSharedBurstBuffer);
+}
+
+TEST(Dhp, PfsOnlyChainWritesThePfsAndCountsNoSpill) {
+  // UniviStor-on-Disk: no cache layer at all. With tracing on, the spill
+  // counter must not look for a first cache layer that does not exist.
+  obs::Recorder recorder;
+  recorder.Install();
+  DhpWriterChain chain(storage::LogKey{1, 0}, {}, {});
+  const auto placements = chain.Append(100);
+  recorder.Uninstall();
+  ASSERT_EQ(placements.size(), 1u);
+  EXPECT_EQ(placements[0].layer, Layer::kPfs);
+  EXPECT_EQ(recorder.metrics().GetCounter("placement.pfs.bytes").value(), 100u);
+  EXPECT_EQ(recorder.metrics().GetCounter("placement.spills").value(), 0u);
 }
 
 TEST(Dhp, FreeRecyclesLogSpace) {
