@@ -90,7 +90,7 @@ Bytes ClusterSim::ClampedDemand(const JobSpec& spec) const {
 }
 
 const univistor::UniviStor* ClusterSim::system(int job) const {
-  return jobs_.at(static_cast<std::size_t>(job)).system.get();
+  return jobs_.at(static_cast<std::size_t>(job)).sut.univistor();
 }
 
 bool ClusterSim::JobOnNode(int job, int node) const {
@@ -200,7 +200,8 @@ ClusterSim::SoloStats ClusterSim::SoloRunUncached(const JobSpec& spec, const Sol
   stats.elapsed = job.finished >= 0 ? job.finished : solo.engine().Now();
   // Contention-free drain baseline: total seconds this job's flushes (BB ->
   // PFS drains, including the flush-on-close wait) take when it runs alone.
-  stats.flush_wait = job.system != nullptr ? job.system->flush_stats().total_flush_time : 0;
+  const univistor::UniviStor* system = job.sut.univistor();
+  stats.flush_wait = system != nullptr ? system->flush_stats().total_flush_time : 0;
   return stats;
 }
 
@@ -255,8 +256,9 @@ sim::Task ClusterSim::JobLifecycle(int idx) {
 
 sim::Task ClusterSim::ExecuteJob(workload::Scenario& sc, JobState& job, bool live) {
   const JobSpec& spec = job.spec;
-  vmpi::AdioDriver* driver = nullptr;
-  if (spec.system == JobSystem::kUniviStor) {
+  if (spec.system == JobSystem::kLustre) {
+    job.sut = workload::BuildSystem(workload::SystemKind::kLustre, sc, options_.base_config);
+  } else {
     univistor::Config cfg = options_.base_config;
     cfg.first_cache_layer = FirstLayer(spec.first_layer);
     // A zero grant must mean "no BB layer", but bb_capacity_limit == 0
@@ -266,22 +268,15 @@ sim::Task ClusterSim::ExecuteJob(workload::Scenario& sc, JobState& job, bool liv
     // Per-job EC opt-in layers onto the base config's shard counts (which
     // default to 4+2; Pfs::Create clamps to the machine's OST count).
     if (spec.ec) cfg.ec.enabled = true;
-    job.system =
-        std::make_unique<univistor::UniviStor>(sc.runtime(), sc.pfs(), sc.workflow(), cfg);
+    job.sut = workload::BuildSystem(workload::SystemKind::kUniviStor, sc, cfg);
     if (live) {
+      univistor::UniviStor& system = *job.sut.univistor();
       for (int n = 0; n < static_cast<int>(node_alive_.size()); ++n)
-        if (node_alive_[static_cast<std::size_t>(n)] == 0) job.system->FailNode(n);
-      if (injector_ != nullptr) job.system->AttachFaults(injector_);
+        if (node_alive_[static_cast<std::size_t>(n)] == 0) system.FailNode(n);
+      if (injector_ != nullptr) system.AttachFaults(injector_);
     }
-    job.uvs_driver = std::make_unique<univistor::UniviStorDriver>(*job.system);
-    driver = job.uvs_driver.get();
-  } else {
-    baselines::LustreDriver::Options opt;
-    opt.stripe.stripe_count = sc.pfs().ost_count();
-    job.lustre_driver =
-        std::make_unique<baselines::LustreDriver>(sc.runtime(), sc.pfs(), opt);
-    driver = job.lustre_driver.get();
   }
+  vmpi::AdioDriver& driver = job.sut.driver();
 
   job.program = sc.runtime().LaunchProgramOn(spec.Name(), spec.procs, job.nodes);
   if (live) {
@@ -299,13 +294,13 @@ sim::Task ClusterSim::ExecuteJob(workload::Scenario& sc, JobState& job, bool liv
     params.bytes_per_var = std::max<Bytes>(spec.bytes_per_rank / 4, 1);
     params.compute_time = spec.compute_time;
     params.file_prefix = spec.Name();
-    job.vpic = std::make_unique<workload::VpicRun>(sc, job.program, *driver, params);
+    job.vpic = std::make_unique<workload::VpicRun>(sc, job.program, driver, params);
     job.vpic->Start();
     co_await job.vpic->done().Wait();
   } else {
     const bool read_back = spec.kind == JobKind::kMicroReadBack;
     job.files.push_back(std::make_unique<h5lite::H5File>(
-        sc.runtime(), job.program, spec.Name() + ".h5", vmpi::FileMode::kWriteOnly, *driver,
+        sc.runtime(), job.program, spec.Name() + ".h5", vmpi::FileMode::kWriteOnly, driver,
         std::vector<h5lite::DatasetSpec>{{"data", 8, spec.bytes_per_rank / 8}}));
     job.ranks_left = spec.procs;
     job.ranks_done = std::make_unique<sim::Event>(sc.engine());
@@ -315,7 +310,7 @@ sim::Task ClusterSim::ExecuteJob(workload::Scenario& sc, JobState& job, bool liv
     co_await job.ranks_done->Wait();
   }
   job.client_done = sc.engine().Now();
-  if (job.system != nullptr) co_await job.system->WaitAllFlushes();
+  if (univistor::UniviStor* system = job.sut.univistor()) co_await system->WaitAllFlushes();
   job.finished = sc.engine().Now();
 }
 
@@ -393,13 +388,14 @@ void ClusterSim::OnJobFinish(int idx) {
   qos.finish = scenario_->engine().Now();
   // Seconds this job's flush drains took beyond its contention-free solo
   // drains: BB drain interference from co-running tenants.
-  const Time drain = job.system != nullptr ? job.system->flush_stats().total_flush_time
-                                           : (job.client_done >= 0 ? qos.finish - job.client_done : 0);
+  const univistor::UniviStor* system = job.sut.univistor();
+  const Time drain = system != nullptr ? system->flush_stats().total_flush_time
+                                       : (job.client_done >= 0 ? qos.finish - job.client_done : 0);
   qos.drain_interference = std::max(0.0, drain - job.solo_flush_wait);
-  if (job.system != nullptr) {
-    for (int f = 0; f < job.system->file_count(); ++f)
-      qos.bytes_written += job.system->BytesWritten(static_cast<storage::FileId>(f));
-    qos.lost_bytes = job.system->lost_bytes();
+  if (system != nullptr) {
+    for (int f = 0; f < system->file_count(); ++f)
+      qos.bytes_written += system->BytesWritten(static_cast<storage::FileId>(f));
+    qos.lost_bytes = system->lost_bytes();
   } else {
     qos.bytes_written = job.spec.TotalBytes();
   }
@@ -556,9 +552,10 @@ void ClusterSim::OnNodeCrash(int node) {
   // Only jobs actually placed on the crashed node lose extents; everyone
   // else keeps running untouched (the multi-tenant crash-targeting fix).
   for (JobState& job : jobs_) {
-    if (!job.started || job.system == nullptr) continue;
+    univistor::UniviStor* system = job.sut.univistor();
+    if (!job.started || system == nullptr) continue;
     if (std::find(job.nodes.begin(), job.nodes.end(), node) == job.nodes.end()) continue;
-    job.system->FailNode(node);
+    system->FailNode(node);
   }
   TrySchedule();
 }

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/lustre_driver.hpp"
 #include "src/cluster/job.hpp"
 #include "src/cluster/scheduler.hpp"
 #include "src/h5lite/h5file.hpp"
@@ -31,9 +30,9 @@
 #include "src/obs/slo.hpp"
 #include "src/sim/event.hpp"
 #include "src/univistor/config.hpp"
-#include "src/univistor/driver.hpp"
 #include "src/univistor/system.hpp"
 #include "src/workload/scenario.hpp"
+#include "src/workload/system_under_test.hpp"
 #include "src/workload/vpic.hpp"
 
 namespace uvs::fault {
@@ -157,9 +156,7 @@ class ClusterSim {
     bool started = false;
     bool completed = false;
     std::unique_ptr<sim::Event> start_event;
-    std::unique_ptr<univistor::UniviStor> system;
-    std::unique_ptr<univistor::UniviStorDriver> uvs_driver;
-    std::unique_ptr<baselines::LustreDriver> lustre_driver;
+    workload::SystemUnderTest sut;
     std::vector<std::unique_ptr<h5lite::H5File>> files;
     std::unique_ptr<workload::VpicRun> vpic;
     vmpi::ProgramId program = -1;

@@ -1,7 +1,8 @@
 // Minimal recursive-descent JSON parser producing a DOM (json::Value).
 // No external dependencies — just enough for loading run reports and
 // schema validation (tools/uvreport, tests). Strict JSON: no comments,
-// no trailing commas, no inf/nan literals.
+// no trailing commas, no inf/nan literals. JsonNumber/JsonEscape are the
+// matching writer pair every report emitter uses.
 #pragma once
 
 #include <string>
@@ -68,5 +69,13 @@ Result<Value> Parse(std::string_view text);
 
 /// Reads the file and parses it as one JSON document.
 Result<Value> ParseFile(const std::string& path);
+
+/// `v` as a JSON number: "%.17g" (round-trips every double) with "-0"
+/// written as "0". Callers publish only finite values.
+std::string JsonNumber(double v);
+
+/// `s` escaped for the body of a JSON string: quote and backslash, \n and
+/// \t, other control characters as \u00XX.
+std::string JsonEscape(std::string_view s);
 
 }  // namespace uvs::json

@@ -7,10 +7,14 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "src/common/json.hpp"
 #include "src/common/strings.hpp"
 #include "src/common/table.hpp"
 
 namespace uvs::obs {
+
+using json::JsonEscape;
+using json::JsonNumber;
 
 namespace {
 
@@ -336,24 +340,6 @@ void CollectDeviceUse(const SpanDb& db, Time elapsed, std::vector<DeviceUse>* ou
   }
 }
 
-std::string JsonNum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  std::string s(buf);
-  if (s == "-0") s = "0";
-  return s;
-}
-
-std::string JsonStr(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
 
 double RankBreakdown::attributed() const {
@@ -471,37 +457,39 @@ std::string ToText(const Report& report) {
 std::string AttributionJson(const Report& report) {
   std::ostringstream os;
   os << "{\"schema\":\"univistor.attribution.v1\"";
-  os << ",\"elapsed\":" << JsonNum(report.elapsed);
+  os << ",\"elapsed\":" << JsonNumber(report.elapsed);
 
   os << ",\"jobs\":[";
   bool first_job = true;
   for (const JobBreakdown& job : report.jobs) {
     if (!first_job) os << ",";
     first_job = false;
-    os << "{\"name\":" << JsonStr(job.spec.name) << ",\"program\":" << job.spec.program
+    os << "{\"name\":\"" << JsonEscape(job.spec.name) << "\",\"program\":" << job.spec.program
        << ",\"is_server\":" << (job.spec.is_server ? "true" : "false")
-       << ",\"ranks\":" << job.ranks.size() << ",\"elapsed\":" << JsonNum(job.elapsed());
+       << ",\"ranks\":" << job.ranks.size() << ",\"elapsed\":" << JsonNumber(job.elapsed());
     double windows = 0;
     for (const RankBreakdown& rank : job.ranks) windows += rank.elapsed();
-    os << ",\"rank_window_seconds\":" << JsonNum(windows) << ",\"categories\":{";
+    os << ",\"rank_window_seconds\":" << JsonNumber(windows) << ",\"categories\":{";
     for (std::size_t c = 1; c < kCategoryCount; ++c) {
       if (c > 1) os << ",";
-      os << JsonStr(CategoryName(static_cast<Category>(c))) << ":" << JsonNum(job.seconds[c]);
+      os << "\"" << JsonEscape(CategoryName(static_cast<Category>(c)))
+         << "\":" << JsonNumber(job.seconds[c]);
     }
     os << "}}";
   }
   os << "]";
 
-  os << ",\"critical_path\":{\"job\":" << JsonStr(report.critical_job)
-     << ",\"rank\":" << report.critical_rank
-     << ",\"elapsed\":" << JsonNum(report.critical_elapsed) << ",\"segments\":[";
+  os << ",\"critical_path\":{\"job\":\"" << JsonEscape(report.critical_job)
+     << "\",\"rank\":" << report.critical_rank
+     << ",\"elapsed\":" << JsonNumber(report.critical_elapsed) << ",\"segments\":[";
   bool first_seg = true;
   for (const PathSegment& seg : report.critical_path) {
     if (!first_seg) os << ",";
     first_seg = false;
-    os << "{\"start\":" << JsonNum(seg.start) << ",\"end\":" << JsonNum(seg.end)
-       << ",\"category\":" << JsonStr(CategoryName(seg.category))
-       << ",\"name\":" << JsonStr(seg.name) << ",\"where\":" << JsonStr(seg.where) << "}";
+    os << "{\"start\":" << JsonNumber(seg.start) << ",\"end\":" << JsonNumber(seg.end)
+       << ",\"category\":\"" << JsonEscape(CategoryName(seg.category))
+       << "\",\"name\":\"" << JsonEscape(seg.name) << "\",\"where\":\"" << JsonEscape(seg.where)
+       << "\"}";
   }
   os << "]}";
 
@@ -510,10 +498,10 @@ std::string AttributionJson(const Report& report) {
   for (const DeviceUse& use : report.devices) {
     if (!first_dev) os << ",";
     first_dev = false;
-    os << "{\"device\":" << JsonStr(use.device)
-       << ",\"utilization\":" << JsonNum(use.utilization)
-       << ",\"saturation\":" << JsonNum(use.saturation) << ",\"busy\":" << JsonNum(use.busy)
-       << ",\"degraded\":" << JsonNum(use.degraded) << ",\"errors\":" << use.errors << "}";
+    os << "{\"device\":\"" << JsonEscape(use.device)
+       << "\",\"utilization\":" << JsonNumber(use.utilization)
+       << ",\"saturation\":" << JsonNumber(use.saturation) << ",\"busy\":" << JsonNumber(use.busy)
+       << ",\"degraded\":" << JsonNumber(use.degraded) << ",\"errors\":" << use.errors << "}";
   }
   os << "]}";
   return os.str();

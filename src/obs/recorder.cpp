@@ -7,42 +7,14 @@
 #include <sstream>
 #include <utility>
 
+#include "src/common/json.hpp"
+
 namespace uvs::obs {
 
+using json::JsonEscape;
+using json::JsonNumber;
+
 namespace {
-
-/// Shortest representation that round-trips a double and is valid JSON
-/// (never inf/nan — callers only publish finite values).
-std::string JsonNumber(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Normalize "-0" and keep the output strictly JSON (no inf/nan expected).
-  std::string s(buf);
-  if (s == "-0") s = "0";
-  return s;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Microseconds with sub-ns resolution, the Chrome trace time unit.
 std::string TraceTs(Time seconds) { return JsonNumber(seconds * 1e6); }

@@ -5,21 +5,17 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/common/json.hpp"
+
 namespace uvs::obs {
+
+using json::JsonNumber;
 
 namespace {
 
 /// Values below this are indistinguishable from zero at any useful
 /// relative accuracy; they share the zero bucket.
 constexpr double kMinRepresentable = 1e-12;
-
-std::string JsonNum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  std::string s(buf);
-  if (s == "-0") s = "0";
-  return s;
-}
 
 }  // namespace
 
@@ -111,14 +107,14 @@ double QuantileSketch::Quantile(double q) const {
 std::string QuantileSketch::ToJson() const {
   std::string out = "{";
   out += "\"count\":" + std::to_string(count_);
-  out += ",\"min\":" + JsonNum(min());
-  out += ",\"max\":" + JsonNum(max());
-  out += ",\"mean\":" + JsonNum(mean());
-  out += ",\"sum\":" + JsonNum(sum_);
-  out += ",\"p50\":" + JsonNum(Quantile(0.5));
-  out += ",\"p90\":" + JsonNum(Quantile(0.9));
-  out += ",\"p99\":" + JsonNum(Quantile(0.99));
-  out += ",\"relative_error\":" + JsonNum(alpha_);
+  out += ",\"min\":" + JsonNumber(min());
+  out += ",\"max\":" + JsonNumber(max());
+  out += ",\"mean\":" + JsonNumber(mean());
+  out += ",\"sum\":" + JsonNumber(sum_);
+  out += ",\"p50\":" + JsonNumber(Quantile(0.5));
+  out += ",\"p90\":" + JsonNumber(Quantile(0.9));
+  out += ",\"p99\":" + JsonNumber(Quantile(0.99));
+  out += ",\"relative_error\":" + JsonNumber(alpha_);
   out += ",\"buckets\":" + std::to_string(buckets_.size());
   out += ",\"collapsed\":" + std::to_string(collapsed_);
   out += ",\"zero\":" + std::to_string(zero_count_);

@@ -2,7 +2,9 @@
 
 #include <sstream>
 
+#include "src/cluster/simulation.hpp"
 #include "src/hw/params.hpp"
+#include "src/obs/flight_recorder.hpp"
 #include "src/placement/dhp.hpp"
 #include "src/placement/virtual_address.hpp"
 
@@ -233,6 +235,79 @@ void CheckErasure(const storage::Pfs& pfs, InvariantReport& report) {
            "(failed+latent shards <= m throughout)";
     report.Add("ec-redundancy-bound", out.str());
   }
+}
+
+void CheckSingleRun(workload::Scenario& scenario, const univistor::UniviStor* system,
+                    bool erasure, bool fault_plan, Bytes expected_lost, InvariantReport& report) {
+  CheckQuiescence(scenario.engine(), report);
+  CheckPoolConservation(scenario, report);
+  if (system != nullptr) CheckUniviStor(*system, report);
+  if (erasure) CheckErasure(scenario.pfs(), report);
+  const Bytes lost = system != nullptr ? system->lost_bytes() : 0;
+  if (fault_plan) {
+    if (lost > expected_lost) {
+      report.Add("lost-bound", "system reports " + std::to_string(lost) +
+                                   " lost bytes, above the metadata-derived bound of " +
+                                   std::to_string(expected_lost));
+    }
+  } else if (lost != expected_lost) {
+    report.Add("lost-accounting", "system reports " + std::to_string(lost) +
+                                      " lost bytes, metadata-derived expectation is " +
+                                      std::to_string(expected_lost));
+  }
+}
+
+void CheckClusterRun(workload::Scenario& scenario, const cluster::ClusterSim& sim, bool erasure,
+                     bool fault_plan, InvariantReport& report) {
+  CheckQuiescence(scenario.engine(), report);
+  CheckPoolConservation(scenario, report);
+  if (sim.arrived_jobs() != sim.job_count()) {
+    report.Add("cluster-conservation", std::to_string(sim.arrived_jobs()) + " of " +
+                                           std::to_string(sim.job_count()) + " jobs arrived");
+  }
+  if (sim.completed_jobs() != sim.arrived_jobs()) {
+    report.Add("cluster-starvation",
+               std::to_string(sim.arrived_jobs() - sim.completed_jobs()) +
+                   " arrived jobs never completed (queued or stranded)");
+  }
+  const Time drained = scenario.engine().Now();
+  if (drained > sim.StarvationHorizon()) {
+    report.Add("cluster-starvation", "mix drained at t=" + std::to_string(drained) +
+                                         ", past the bounded horizon " +
+                                         std::to_string(sim.StarvationHorizon()));
+  }
+  if (sim.peak_bb_reserved() > sim.bb_capacity()) {
+    report.Add("cluster-bb-capacity",
+               "peak BB reservation " + std::to_string(sim.peak_bb_reserved()) +
+                   " exceeds capacity " + std::to_string(sim.bb_capacity()));
+  }
+  if (erasure) CheckErasure(scenario.pfs(), report);
+  for (int j = 0; j < sim.job_count(); ++j) {
+    const univistor::UniviStor* system = sim.system(j);
+    if (system == nullptr) continue;
+    CheckUniviStor(*system, report);
+    const std::string label = "job " + std::to_string(j);
+    const Bytes lost = system->lost_bytes();
+    if (fault_plan) {
+      // Plan crashes land at arbitrary points, so the metadata-derived
+      // expectation is an upper bound per tenant (see ExpectedLostBytes).
+      const Bytes bound = ExpectedLostBytes(*system, scenario.runtime());
+      if (lost > bound) {
+        report.Add("cluster-lost-bound", label + " reports " + std::to_string(lost) +
+                                             " lost bytes, above its metadata-derived bound of " +
+                                             std::to_string(bound));
+      }
+    } else if (lost != 0) {
+      report.Add("cluster-lost-accounting",
+                 label + " reports " + std::to_string(lost) + " lost bytes with no fault injected");
+    }
+  }
+}
+
+Status DumpInvariantFailure(const InvariantReport& report, Time now) {
+  for (const auto& v : report.violations)
+    obs::FlightNote(now, "invariant", v.invariant, 0, v.detail);
+  return obs::FlightDump("invariant-failure");
 }
 
 }  // namespace uvs::testkit

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.hpp"
 #include "src/common/units.hpp"
 #include "src/meta/record.hpp"
 #include "src/sim/engine.hpp"
@@ -30,6 +31,10 @@
 #include "src/storage/pfs.hpp"
 #include "src/univistor/system.hpp"
 #include "src/workload/scenario.hpp"
+
+namespace uvs::cluster {
+class ClusterSim;
+}
 
 namespace uvs::testkit {
 
@@ -91,5 +96,28 @@ void CheckErasure(const storage::Pfs& pfs, InvariantReport& report);
 /// upper bound for seed-timed plans, where reads that beat the crash
 /// succeed but still qualify here.
 Bytes ExpectedLostBytes(const univistor::UniviStor& system, vmpi::Runtime& runtime);
+
+/// Every check a drained single-job run must pass: quiescence, pool
+/// conservation, the UniviStor checks (`system` is nullptr for the
+/// baselines), the erasure checks when `erasure`, and lost-byte accounting.
+/// The system's lost bytes must equal `expected_lost`; under a seed-timed
+/// fault plan (`fault_plan`) crashes land at arbitrary points relative to
+/// the reads, so reads that beat a crash legitimately succeed and
+/// `expected_lost` is only an upper bound.
+void CheckSingleRun(workload::Scenario& scenario, const univistor::UniviStor* system,
+                    bool erasure, bool fault_plan, Bytes expected_lost, InvariantReport& report);
+
+/// Every check a drained multi-tenant run must pass: quiescence, pool
+/// conservation, job conservation (every job arrived and completed), the
+/// starvation horizon, BB reservations within capacity, the erasure checks
+/// when `erasure`, and per UniviStor job its system checks and lost bytes:
+/// zero without a fault plan, within ExpectedLostBytes under one.
+void CheckClusterRun(workload::Scenario& scenario, const cluster::ClusterSim& sim, bool erasure,
+                     bool fault_plan, InvariantReport& report);
+
+/// Notes each violation in the installed flight recorder at sim time `now`,
+/// then dumps the ring with reason "invariant-failure". A no-op without an
+/// installed recorder or dump path; the dump's error is returned.
+Status DumpInvariantFailure(const InvariantReport& report, Time now);
 
 }  // namespace uvs::testkit

@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/data_elevator.hpp"
-#include "src/baselines/lustre_driver.hpp"
 #include "src/cluster/job.hpp"
 #include "src/cluster/simulation.hpp"
 #include "src/common/rng.hpp"
@@ -17,11 +15,11 @@
 #include "src/obs/recorder.hpp"
 #include "src/storage/pfs.hpp"
 #include "src/univistor/config.hpp"
-#include "src/univistor/driver.hpp"
 #include "src/univistor/system.hpp"
 #include "src/workload/bdcats.hpp"
 #include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
+#include "src/workload/system_under_test.hpp"
 #include "src/workload/vpic.hpp"
 
 namespace uvs::testkit {
@@ -68,68 +66,9 @@ univistor::Config BuildConfig(const ScenarioSpec& spec) {
   return config;
 }
 
-/// Routes the EC plan events (ostfail/latent/scrub) into the scenario's
-/// shared Pfs; with recovery on, an OST failure also spawns the rebuild.
-void WireEcHandlers(fault::Injector& injector, workload::Scenario& scenario,
-                    const ScenarioSpec& spec) {
-  storage::Pfs* pfs = &scenario.pfs();
-  sim::Engine* engine = &scenario.engine();
-  const bool recovery = spec.recovery;
-  injector.AddOstFailHandler([pfs, engine, recovery](int ost) {
-    pfs->FailOst(ost);
-    if (recovery) engine->Spawn(pfs->RebuildOst(ost), "ec-rebuild");
-  });
-  injector.AddLatentHandler([pfs](int ost) { pfs->InjectLatentError(ost); });
-  const Time interval = univistor::Config::EcConfig{}.scrub_stripe_interval;
-  injector.AddScrubHandler(
-      [pfs, engine, interval] { engine->Spawn(pfs->ScrubPass(interval), "ec-scrub"); });
-}
-
-/// One full background scrub pass after the workload drained (spec.scrub).
-void RunFinalScrub(workload::Scenario& scenario) {
-  scenario.engine().Spawn(
-      scenario.pfs().ScrubPass(univistor::Config::EcConfig{}.scrub_stripe_interval),
-      "ec-scrub-final");
-  scenario.engine().Run();
-}
-
-/// The system under test behind one AdioDriver.
-struct SystemUnderTest {
-  std::unique_ptr<univistor::UniviStor> univistor;
-  std::unique_ptr<univistor::UniviStorDriver> univistor_driver;
-  std::unique_ptr<baselines::LustreDriver> lustre;
-  std::unique_ptr<baselines::DataElevator> data_elevator;
-  std::unique_ptr<baselines::DataElevatorDriver> data_elevator_driver;
-  vmpi::AdioDriver* driver = nullptr;
-};
-
-SystemUnderTest BuildSystem(const ScenarioSpec& spec, workload::Scenario& scenario) {
-  SystemUnderTest sut;
-  switch (spec.system) {
-    case SystemKind::kUniviStor:
-      sut.univistor = std::make_unique<univistor::UniviStor>(
-          scenario.runtime(), scenario.pfs(), scenario.workflow(), BuildConfig(spec));
-      sut.univistor_driver = std::make_unique<univistor::UniviStorDriver>(*sut.univistor);
-      sut.driver = sut.univistor_driver.get();
-      break;
-    case SystemKind::kLustre: {
-      baselines::LustreDriver::Options options;
-      options.stripe.stripe_count = spec.osts;  // the default 248 assumes Cori
-      sut.lustre = std::make_unique<baselines::LustreDriver>(scenario.runtime(), scenario.pfs(),
-                                                             options);
-      sut.driver = sut.lustre.get();
-      break;
-    }
-    case SystemKind::kDataElevator:
-      sut.data_elevator =
-          std::make_unique<baselines::DataElevator>(scenario.runtime(), scenario.pfs());
-      sut.data_elevator_driver =
-          std::make_unique<baselines::DataElevatorDriver>(*sut.data_elevator);
-      sut.driver = sut.data_elevator_driver.get();
-      break;
-  }
-  return sut;
-}
+/// Sim seconds the scrub paces between stripes (fault-plan and final
+/// passes alike).
+Time ScrubInterval() { return univistor::Config::EcConfig{}.scrub_stripe_interval; }
 
 /// Fails the spec'd node at the spec'd point and records the exact
 /// expected data loss for the read phase that follows.
@@ -148,14 +87,14 @@ void InjectFailure(const ScenarioSpec& spec, workload::Scenario& scenario,
 
 /// Drives the spec's workload; returns the names of the files it wrote.
 std::vector<std::string> RunWorkload(const ScenarioSpec& spec, workload::Scenario& scenario,
-                                     SystemUnderTest& sut, RunOutcome& outcome) {
+                                     workload::SystemUnderTest& sut, RunOutcome& outcome) {
   // kPlan crashes are scheduled by the armed fault::Injector, not injected
   // at a workload milestone — only the legacy point modes go through
   // InjectFailure.
   const bool inject = (spec.failure == FailureMode::kAfterWrites ||
                        spec.failure == FailureMode::kDuringFlush) &&
-                      sut.univistor != nullptr;
-  const bool plan_readback = spec.failure == FailureMode::kPlan && sut.univistor != nullptr;
+                      sut.univistor() != nullptr;
+  const bool plan_readback = spec.failure == FailureMode::kPlan && sut.univistor() != nullptr;
 
   switch (spec.workload) {
     case WorkloadKind::kMicro:
@@ -163,11 +102,11 @@ std::vector<std::string> RunWorkload(const ScenarioSpec& spec, workload::Scenari
       const auto app = scenario.runtime().LaunchProgram("fuzz-app", spec.procs);
       workload::MicroParams params{
           .bytes_per_proc = spec.bytes_per_rank, .read = false, .file_name = kMicroFileName};
-      workload::RunHdfMicro(scenario, app, *sut.driver, params);
+      workload::RunHdfMicro(scenario, app, sut.driver(), params);
       if (spec.workload == WorkloadKind::kMicroReadBack) {
-        if (inject) InjectFailure(spec, scenario, *sut.univistor, {kMicroFileName}, outcome);
+        if (inject) InjectFailure(spec, scenario, *sut.univistor(), {kMicroFileName}, outcome);
         params.read = true;
-        workload::RunHdfMicro(scenario, app, *sut.driver, params);
+        workload::RunHdfMicro(scenario, app, sut.driver(), params);
       }
       return {kMicroFileName};
     }
@@ -179,16 +118,16 @@ std::vector<std::string> RunWorkload(const ScenarioSpec& spec, workload::Scenari
                                         .bytes_per_var = spec.bytes_per_rank / 2,
                                         .compute_time = spec.compute_time,
                                         .file_prefix = kVpicPrefix};
-      workload::VpicRun vpic(scenario, app, *sut.driver, params);
+      workload::VpicRun vpic(scenario, app, sut.driver(), params);
       vpic.Start();
       scenario.engine().Run();
       std::vector<std::string> names;
       for (int s = 0; s < params.steps; ++s) names.push_back(vpic.StepFileName(s));
-      if (inject) InjectFailure(spec, scenario, *sut.univistor, names, outcome);
+      if (inject) InjectFailure(spec, scenario, *sut.univistor(), names, outcome);
       if (inject || plan_readback) {
         // Read everything back through BD-CATS to exercise the loss path.
         const auto reader = scenario.runtime().LaunchProgram("fuzz-bdcats", spec.procs);
-        workload::RunBdcats(scenario, reader, *sut.driver,
+        workload::RunBdcats(scenario, reader, sut.driver(),
                             workload::BdcatsParams{.producer = params,
                                                    .producer_ranks = spec.procs});
       }
@@ -205,12 +144,12 @@ std::vector<std::string> RunWorkload(const ScenarioSpec& spec, workload::Scenari
                                         .bytes_per_var = spec.bytes_per_rank / 2,
                                         .compute_time = spec.compute_time,
                                         .file_prefix = kVpicPrefix};
-      workload::VpicRun vpic(scenario, producer, *sut.driver, params);
+      workload::VpicRun vpic(scenario, producer, sut.driver(), params);
       workload::BdcatsRun bdcats(
-          scenario, consumer, *sut.driver,
+          scenario, consumer, sut.driver(),
           workload::BdcatsParams{.producer = params, .producer_ranks = producers});
       vpic.Start();
-      if (sut.univistor != nullptr) {
+      if (sut.univistor() != nullptr) {
         // Workflow locks serialize per-file access; overlap is safe.
         bdcats.Start();
       } else {
@@ -232,11 +171,11 @@ std::vector<std::string> RunWorkload(const ScenarioSpec& spec, workload::Scenari
   return {};
 }
 
-void CollectFileSizes(const std::vector<std::string>& names, SystemUnderTest& sut,
+void CollectFileSizes(const std::vector<std::string>& names, workload::SystemUnderTest& sut,
                       workload::Scenario& scenario, RunOutcome& outcome) {
   for (const auto& name : names) {
-    if (sut.univistor != nullptr) {
-      outcome.file_sizes[name] = sut.univistor->LogicalSize(sut.univistor->OpenOrCreate(name));
+    if (univistor::UniviStor* system = sut.univistor()) {
+      outcome.file_sizes[name] = system->LogicalSize(system->OpenOrCreate(name));
     } else {
       const auto handle = scenario.pfs().Lookup(name);
       if (handle.ok()) outcome.file_sizes[name] = scenario.pfs().FileSize(*handle);
@@ -336,72 +275,26 @@ RunOutcome RunClusterScenario(const ScenarioSpec& spec, const RunOptions& option
       }
       injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
       sim.AttachInjector(*injector);
-      if (spec.ec_k > 0) WireEcHandlers(*injector, scenario, spec);
+      if (spec.ec_k > 0) workload::WireEcFaults(*injector, scenario, spec.recovery, ScrubInterval());
       injector->Arm();
     }
 
     sim.Run();
-    if (spec.ec_k > 0 && spec.scrub) RunFinalScrub(scenario);
+    if (spec.ec_k > 0 && spec.scrub) workload::RunFinalScrub(scenario, ScrubInterval());
     outcome.sim_time = scenario.engine().Now();
+    const bool fault_plan = spec.failure == FailureMode::kPlan;
     for (int j = 0; j < sim.job_count(); ++j) {
       if (const univistor::UniviStor* sys = sim.system(j)) {
         outcome.lost_bytes += sys->lost_bytes();
+        if (fault_plan) outcome.expected_lost_bytes += ExpectedLostBytes(*sys, scenario.runtime());
         for (int f = 0; f < sys->file_count(); ++f) {
           const auto fid = static_cast<storage::FileId>(f);
           outcome.file_sizes[sys->FileName(fid)] = sys->LogicalSize(fid);
         }
       }
     }
-
-    if (options.check_invariants) {
-      CheckQuiescence(scenario.engine(), outcome.report);
-      CheckPoolConservation(scenario, outcome.report);
-      if (sim.arrived_jobs() != sim.job_count()) {
-        outcome.report.Add("cluster-conservation",
-                           std::to_string(sim.arrived_jobs()) + " of " +
-                               std::to_string(sim.job_count()) + " jobs arrived");
-      }
-      if (sim.completed_jobs() != sim.arrived_jobs()) {
-        outcome.report.Add("cluster-starvation",
-                           std::to_string(sim.arrived_jobs() - sim.completed_jobs()) +
-                               " arrived jobs never completed (queued or stranded)");
-      }
-      if (outcome.sim_time > sim.StarvationHorizon()) {
-        outcome.report.Add("cluster-starvation",
-                           "mix drained at t=" + std::to_string(outcome.sim_time) +
-                               ", past the bounded horizon " +
-                               std::to_string(sim.StarvationHorizon()));
-      }
-      if (sim.peak_bb_reserved() > sim.bb_capacity()) {
-        outcome.report.Add("cluster-bb-capacity",
-                           "peak BB reservation " + std::to_string(sim.peak_bb_reserved()) +
-                               " exceeds capacity " + std::to_string(sim.bb_capacity()));
-      }
-      if (spec.ec_k > 0) CheckErasure(scenario.pfs(), outcome.report);
-      for (int j = 0; j < sim.job_count(); ++j) {
-        const univistor::UniviStor* sys = sim.system(j);
-        if (sys == nullptr) continue;
-        CheckUniviStor(*sys, outcome.report);
-        const std::string label = "job " + std::to_string(j);
-        const Bytes lost = sys->lost_bytes();
-        if (spec.failure == FailureMode::kPlan) {
-          // Plan crashes land at arbitrary points, so the metadata-derived
-          // expectation is an upper bound per tenant (see ExpectedLostBytes).
-          const Bytes bound = ExpectedLostBytes(*sys, scenario.runtime());
-          outcome.expected_lost_bytes += bound;
-          if (lost > bound) {
-            outcome.report.Add("cluster-lost-bound",
-                               label + " reports " + std::to_string(lost) +
-                                   " lost bytes, above its metadata-derived bound of " +
-                                   std::to_string(bound));
-          }
-        } else if (lost != 0) {
-          outcome.report.Add("cluster-lost-accounting",
-                             label + " reports " + std::to_string(lost) +
-                                 " lost bytes with no fault injected");
-        }
-      }
-    }
+    if (options.check_invariants)
+      CheckClusterRun(scenario, sim, spec.ec_k > 0, fault_plan, outcome.report);
   } catch (const std::exception& e) {
     outcome.report.Add("exception", e.what());
   } catch (...) {
@@ -421,57 +314,35 @@ RunOutcome RunSingleScenario(const ScenarioSpec& spec, const RunOptions& options
         .workflow_enabled = spec.workload == WorkloadKind::kWorkflow,
         .cluster_params = BuildClusterParams(spec)};
     workload::Scenario scenario(scenario_options);
-    SystemUnderTest sut = BuildSystem(spec, scenario);
+    workload::SystemUnderTest sut = workload::BuildSystem(spec.system, scenario, BuildConfig(spec));
+    univistor::UniviStor* system = sut.univistor();
 
     // Seed-timed fault plans: arm the injector before the workload starts
     // so its events interleave with writes, flushes, and reads.
     std::unique_ptr<fault::Injector> injector;
-    if (spec.failure == FailureMode::kPlan && sut.univistor != nullptr) {
+    const bool fault_plan = spec.failure == FailureMode::kPlan && system != nullptr;
+    if (fault_plan) {
       auto plan = fault::ParsePlan(spec.fault_plan);
       if (!plan.ok()) {
         outcome.report.Add("fault-plan", plan.status().message());
         return outcome;
       }
       injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
-      injector->set_cluster(&scenario.cluster());
-      injector->SetCrashHandler([&sut](int node) { sut.univistor->FailNode(node); });
-      if (spec.ec_k > 0) WireEcHandlers(*injector, scenario, spec);
-      sut.univistor->AttachFaults(injector.get());
+      sut.AttachInjector(*injector, scenario);
+      if (spec.ec_k > 0) workload::WireEcFaults(*injector, scenario, spec.recovery, ScrubInterval());
       injector->Arm();
     }
 
     const auto names = RunWorkload(spec, scenario, sut, outcome);
     scenario.engine().Run();  // final drain (asynchronous flushes)
-    if (spec.ec_k > 0 && spec.scrub) RunFinalScrub(scenario);
+    if (spec.ec_k > 0 && spec.scrub) workload::RunFinalScrub(scenario, ScrubInterval());
     outcome.sim_time = scenario.engine().Now();
     CollectFileSizes(names, sut, scenario, outcome);
-    if (sut.univistor != nullptr) outcome.lost_bytes = sut.univistor->lost_bytes();
-    if (spec.failure == FailureMode::kPlan && sut.univistor != nullptr) {
-      outcome.expected_lost_bytes = ExpectedLostBytes(*sut.univistor, scenario.runtime());
-    }
-
+    if (system != nullptr) outcome.lost_bytes = system->lost_bytes();
+    if (fault_plan) outcome.expected_lost_bytes = ExpectedLostBytes(*system, scenario.runtime());
     if (options.check_invariants) {
-      CheckQuiescence(scenario.engine(), outcome.report);
-      CheckPoolConservation(scenario, outcome.report);
-      if (sut.univistor != nullptr) CheckUniviStor(*sut.univistor, outcome.report);
-      if (spec.ec_k > 0) CheckErasure(scenario.pfs(), outcome.report);
-      if (spec.failure == FailureMode::kPlan) {
-        // Plan crashes land at arbitrary points relative to the reads, so
-        // reads that beat the crash legitimately succeed; the watermark
-        // expectation is an upper bound ("bytes lost never exceed the
-        // un-replicated, un-flushed dirty window of the dead nodes").
-        if (outcome.lost_bytes > outcome.expected_lost_bytes) {
-          outcome.report.Add("lost-bound",
-                             "system reports " + std::to_string(outcome.lost_bytes) +
-                                 " lost bytes, above the metadata-derived bound of " +
-                                 std::to_string(outcome.expected_lost_bytes));
-        }
-      } else if (outcome.lost_bytes != outcome.expected_lost_bytes) {
-        outcome.report.Add("lost-accounting",
-                           "system reports " + std::to_string(outcome.lost_bytes) +
-                               " lost bytes, metadata-derived expectation is " +
-                               std::to_string(outcome.expected_lost_bytes));
-      }
+      CheckSingleRun(scenario, system, spec.ec_k > 0, spec.failure == FailureMode::kPlan,
+                     outcome.expected_lost_bytes, outcome.report);
     }
     if (options.differential && spec.system == SystemKind::kUniviStor &&
         spec.failure == FailureMode::kNone) {
@@ -497,12 +368,8 @@ RunOutcome RunScenario(const ScenarioSpec& spec, const RunOptions& options) {
   // A failing scenario freezes the flight-recorder ring to disk (no-op
   // without an installed recorder or dump path).
   if (!outcome.ok())
-    if (obs::FlightRecorder* flight = obs::FlightRecorder::Current()) {
-      for (const auto& v : outcome.report.violations)
-        flight->Note(outcome.sim_time, "invariant", v.invariant, 0, v.detail);
-      const Status dump = flight->Dump("invariant-failure");
-      if (!dump.ok()) outcome.report.Add("flight-dump", dump.message());
-    }
+    if (Status dump = DumpInvariantFailure(outcome.report, outcome.sim_time); !dump.ok())
+      outcome.report.Add("flight-dump", dump.message());
   return outcome;
 }
 

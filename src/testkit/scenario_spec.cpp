@@ -12,15 +12,6 @@
 
 namespace uvs::testkit {
 
-const char* SystemKindName(SystemKind kind) {
-  switch (kind) {
-    case SystemKind::kUniviStor: return "univistor";
-    case SystemKind::kLustre: return "lustre";
-    case SystemKind::kDataElevator: return "data_elevator";
-  }
-  return "?";
-}
-
 const char* WorkloadKindName(WorkloadKind kind) {
   switch (kind) {
     case WorkloadKind::kMicro: return "micro";

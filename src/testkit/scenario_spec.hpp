@@ -13,14 +13,16 @@
 
 #include "src/common/status.hpp"
 #include "src/common/units.hpp"
+#include "src/workload/system_under_test.hpp"
 
 namespace uvs::testkit {
 
-enum class SystemKind : std::uint8_t { kUniviStor = 0, kLustre, kDataElevator };
+using workload::SystemKind;
+using workload::SystemKindName;
+
 enum class WorkloadKind : std::uint8_t { kMicro = 0, kMicroReadBack, kVpic, kWorkflow };
 enum class FailureMode : std::uint8_t { kNone = 0, kAfterWrites, kDuringFlush, kPlan };
 
-const char* SystemKindName(SystemKind kind);
 const char* WorkloadKindName(WorkloadKind kind);
 const char* FailureModeName(FailureMode mode);
 

@@ -1,0 +1,43 @@
+# Runs uvsim once and checks how it ends. Invoked by ctest as
+#   cmake -DUVSIM=<uvsim> -DARGS=<flags joined by '|'> [-DEXPECT_RC=<code>]
+#         [-DEXPECT_STDOUT=<text>] [-DEXPECT_STDERR=<text>]
+#         [-DUVREPORT=<uvreport> -DGOLDEN=<golden.json> -DREPORT=<out.json>]
+#         -P uvsim_cli_test.cmake
+# The exit code must equal EXPECT_RC (default 0): a crash reports a signal,
+# never a matching code. EXPECT_STDOUT / EXPECT_STDERR must appear
+# verbatim. With GOLDEN, the run writes its metrics report to REPORT and
+# `uvreport --diff GOLDEN REPORT` must find no meaningful shift.
+string(REPLACE "|" ";" args "${ARGS}")
+if(NOT DEFINED EXPECT_RC)
+  set(EXPECT_RC 0)
+endif()
+if(DEFINED GOLDEN)
+  list(APPEND args "--metrics=${REPORT}")
+endif()
+
+execute_process(COMMAND "${UVSIM}" ${args}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT "${rc}" STREQUAL "${EXPECT_RC}")
+  message(FATAL_ERROR "uvsim ${args}: exit ${rc}, expected ${EXPECT_RC}\n${out}${err}")
+endif()
+foreach(stream STDOUT STDERR)
+  if(stream STREQUAL "STDOUT")
+    set(text "${out}")
+  else()
+    set(text "${err}")
+  endif()
+  if(DEFINED EXPECT_${stream})
+    string(FIND "${text}" "${EXPECT_${stream}}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "uvsim ${args}: ${stream} lacks '${EXPECT_${stream}}'\n${text}")
+    endif()
+  endif()
+endforeach()
+
+if(DEFINED GOLDEN)
+  execute_process(COMMAND "${UVREPORT}" --diff "${GOLDEN}" "${REPORT}"
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT "${rc}" STREQUAL "0")
+    message(FATAL_ERROR "uvreport --diff ${GOLDEN} ${REPORT}: exit ${rc}\n${out}${err}")
+  endif()
+endif()

@@ -8,19 +8,26 @@
 //   uvsim --system=de --workload=workflow --procs=256
 //   uvsim --system=lustre --workload=micro --procs=1024 --read
 //
-// Flags:
 // Run `uvsim --help` for the full flag list; `--trace` / `--metrics`
 // additionally produce a Chrome trace-event timeline and a machine-readable
 // run report (see docs/OBSERVABILITY.md).
+#include <cctype>
+#include <algorithm>
+#include <charconv>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
-#include "src/baselines/data_elevator.hpp"
-#include "src/baselines/lustre_driver.hpp"
 #include "src/cluster/arrival.hpp"
 #include "src/cluster/simulation.hpp"
 #include "src/common/log.hpp"
@@ -34,175 +41,239 @@
 #include "src/obs/sampler.hpp"
 #include "src/storage/pfs.hpp"
 #include "src/testkit/invariants.hpp"
-#include "src/univistor/driver.hpp"
-#include "src/univistor/system.hpp"
 #include "src/workload/bdcats.hpp"
 #include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
+#include "src/workload/system_under_test.hpp"
 #include "src/workload/vpic.hpp"
 
 using namespace uvs;
 
 namespace {
 
+/// Every flag's value; kFlags documents each field.
 struct Args {
-  std::string system = "univistor";
-  std::string layer = "dram";
-  std::string workload = "micro";
-  int procs = 256;
-  int mb = 256;
-  int steps = 5;
-  bool read = false;
-  bool report = false;
-  bool check = false;
+  std::string system = "univistor", layer = "dram", workload = "micro";
+  int procs = 256, mb = 256, steps = 5;
+  bool read = false, report = false, check = false;
   bool ia = true, coc = true, adpt = true, la = true;
-  std::string faults;   // fault::Plan spec (docs/FAULTS.md grammar)
+  std::string faults;
   bool recover = false;
-  std::string ec;               // "K+M" erasure-code shard counts ("" = off)
-  bool scrub = false;           // run a background scrub after the workload
-  double scrub_interval = -1;   // sim seconds between scrubbed stripes; <0 = default
-  std::string trace;    // Chrome trace-event JSON output path
-  std::string metrics;  // metrics JSON (or series CSV) output path
-  double sample_interval = -1;  // simulated seconds; <0 = default
-  bool attribution = false;     // causal attribution analysis + tables
-  long long span_limit = -1;    // recorder span cap; <0 = default
-  bool slo = false;             // cluster: evaluate + print SLO verdicts
-  std::string slo_spec;         // custom SLO list (obs::ParseSloSpecs grammar)
-  std::string flight;           // flight-recorder dump path ("" = off)
-  bool live = false;            // cluster: periodic progress ticker
+  int ec_k = 0, ec_m = 0;  // 0 = no erasure coding
+  bool scrub = false;
+  double scrub_interval = -1;   // <0 = Config::EcConfig default
+  std::string trace, metrics;
+  double sample_interval = -1;  // <0 = 1 s when observability is on, else 0
+  bool attribution = false;
+  long long span_limit = -1;    // <0 = the recorder's default cap
+  bool slo = false;
+  std::string slo_spec;
+  std::string flight;           // "" = no flight recorder
+  bool live = false;
 
   // --cluster mode: multi-tenant job mix through cluster::ClusterSim.
   bool cluster = false;
-  int jobs = 8;                  // sampled mix size
-  std::string csched = "bb";     // fcfs | easy | bb
-  double interarrival = 0.01;    // mean Poisson interarrival (sim seconds)
-  unsigned long long seed = 42;  // mix sampling seed
-  bool bb_bound = false;         // sample a BB-heavy mix
-  double lustre_frac = 0.0;      // fraction of Lustre-baseline jobs
-  double ec_frac = 0.0;          // fraction of erasure-coded UniviStor jobs
-  int bb_mb = 64;                // BB capacity per BB node (MiB)
-  int osts = 4;                  // PFS OSTs (few, so spilling hurts)
-  int ppn = 4;                   // client ranks per allocated node
-  int solo_jobs = 1;             // solo-baseline warmup worker threads (0 = hw)
-  std::string job_file;          // input job trace (at=.. procs=.. lines)
-  std::string job_trace;         // output JSON job trace path
+  int jobs = 8;
+  std::string csched = "bb";
+  double interarrival = 0.01;
+  unsigned long long seed = 42;
+  bool bb_bound = false;
+  double lustre_frac = 0.0, ec_frac = 0.0;
+  int bb_mb = 64, osts = 4, ppn = 4, solo_jobs = 1;
+  std::string job_file, job_trace;
+};
+
+// --- The flag table --------------------------------------------------------
+// A setter stores one flag's value (nullptr when an optional value is
+// absent) and returns what a rejected value should have been, "" if none.
+
+using Setter = std::string (*)(Args&, const char* value);
+
+template <auto field, long long kMin = LLONG_MIN>
+std::string SetInt(Args& args, const char* v) {
+  auto n = args.*field;
+  const char* end = v + std::strlen(v);
+  const auto [p, ec] = std::from_chars(v, end, n);
+  bool in_range = true;
+  if constexpr (std::is_signed_v<decltype(n)>) in_range = n >= kMin;
+  if (ec != std::errc{} || p != end || !in_range)
+    return kMin == LLONG_MIN ? "an integer" : "an integer >= " + std::to_string(kMin);
+  args.*field = n;
+  return "";
+}
+
+template <double Args::*field>
+std::string SetReal(Args& args, const char* v) {
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (*v == '\0' || std::isspace(static_cast<unsigned char>(*v)) || *end != '\0' ||
+      !std::isfinite(x))
+    return "a finite number";
+  args.*field = x;
+  return "";
+}
+
+template <std::string Args::*field>
+std::string SetText(Args& args, const char* v) {
+  args.*field = v;
+  return "";
+}
+
+template <bool Args::*field, bool kValue = true>
+std::string SetSwitch(Args& args, const char*) {
+  args.*field = kValue;
+  return "";
+}
+
+std::string SetEc(Args& args, const char* v) {
+  const std::string_view spec = v;
+  const std::size_t plus = std::min(spec.find('+'), spec.size());
+  const auto shards = [](std::string_view s, int& n) {
+    const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+    return ec == std::errc{} && p == s.data() + s.size() && n >= 1;
+  };
+  if (!shards(spec.substr(0, plus), args.ec_k) || plus == spec.size() ||
+      !shards(spec.substr(plus + 1), args.ec_m))
+    return "K+M with K,M >= 1";
+  return "";
+}
+
+std::string SetScrub(Args& args, const char* v) {
+  args.scrub = true;
+  return v != nullptr ? SetReal<&Args::scrub_interval>(args, v) : "";
+}
+
+std::string SetSlo(Args& args, const char* v) {
+  args.slo = true;
+  return v != nullptr ? SetText<&Args::slo_spec>(args, v) : "";
+}
+
+std::string SetFlight(Args& args, const char* v) {
+  return SetText<&Args::flight>(args, v != nullptr ? v : "flight-recorder.json");
+}
+
+struct Flag {
+  const char* name;
+  const char* value;  // "=X" takes a value, "[=X]" may, "" takes none
+  Setter set;
+  const char* help;   // '\n' continues on the next usage line
+};
+
+constexpr Flag kFlags[] = {
+    {"--system", "=univistor|de|lustre", SetText<&Args::system>, "storage system under test"},
+    {"--layer", "=dram|bb|disk", SetText<&Args::layer>, "UniviStor first cache layer"},
+    {"--workload", "=micro|vpic|workflow", SetText<&Args::workload>, "workload to run"},
+    {"--procs", "=N", SetInt<&Args::procs, 1>, "client ranks (default 256)"},
+    {"--mb", "=N", SetInt<&Args::mb, 1>, "MiB written per process (default 256)"},
+    {"--steps", "=N", SetInt<&Args::steps, 1>, "vpic/workflow timesteps (default 5)"},
+    {"--read", "", SetSwitch<&Args::read>, "micro: read the file back after writing"},
+    {"--report", "", SetSwitch<&Args::report>, "print the device-utilization table"},
+    {"--check", "", SetSwitch<&Args::check>, "run the testkit invariant checks; exit 1 on\n"
+                                             "a violation"},
+    {"--no-ia", "", SetSwitch<&Args::ia, false>, "disable interference-aware flushing"},
+    {"--no-coc", "", SetSwitch<&Args::coc, false>, "disable collective open/close"},
+    {"--no-adpt", "", SetSwitch<&Args::adpt, false>, "disable adaptive striping"},
+    {"--no-la", "", SetSwitch<&Args::la, false>, "disable location-aware reads"},
+    {"--faults", "=SPEC", SetText<&Args::faults>, "inject a fault plan, e.g. 'crash@0.5:node=1;\n"
+                                                  "ost@1+2:ost=3,factor=0.1' (docs/FAULTS.md)"},
+    {"--ec", "=K+M", SetEc, "erasure-code PFS files into K data + M\nparity shards"},
+    {"--scrub", "[=S]", SetScrub, "run a parity scrub after the workload,\n"
+                                  "pacing S sim seconds between stripes"},
+    {"--recover", "", SetSwitch<&Args::recover>, "enable active recovery (retries, re-\n"
+                                                 "striping, metadata repartitioning;\n"
+                                                 "implies volatile replication)"},
+    {"--trace", "=FILE", SetText<&Args::trace>, "write a Chrome trace-event timeline"},
+    {"--metrics", "=FILE", SetText<&Args::metrics>, "write the metrics run report as JSON\n"
+                                                    "(a .csv path writes the sampled series)"},
+    {"--sample-interval", "=S", SetReal<&Args::sample_interval>,
+     "gauge sampling period in sim seconds\n(default 1 with observability; 0 = off)"},
+    {"--attribution", "", SetSwitch<&Args::attribution>,
+     "causal wait-state analysis: per-job time\nattribution, critical path, device USE"},
+    {"--span-limit", "=N", SetInt<&Args::span_limit>,
+     "cap recorder span memory at N spans\n(cluster: prune boring jobs' spans first)"},
+    {"--slo", "[=SPEC]", SetSlo, "cluster: print per-tenant SLO burn-rate\n"
+                                 "verdicts; SPEC like 'stretch<=4:budget=0.25'"},
+    {"--flight-recorder", "[=FILE]", SetFlight, "dump recent events as JSON on invariant\n"
+                                                "failure, crash or non-zero exit"},
+    {"--live", "", SetSwitch<&Args::live>, "cluster: progress ticker per sample tick"},
+    {"--cluster", "", SetSwitch<&Args::cluster>, "multi-tenant mode: run a job mix through\n"
+                                                 "the cluster scheduler, print per-job QoS"},
+    {"--jobs", "=N", SetInt<&Args::jobs, 1>, "cluster: sampled mix size (default 8)"},
+    {"--csched", "=fcfs|easy|bb", SetText<&Args::csched>, "cluster: policy (default bb)"},
+    {"--interarrival", "=S", SetReal<&Args::interarrival>,
+     "cluster: mean Poisson interarrival, sim\nseconds (default 0.01; 0 = all at t=0)"},
+    {"--seed", "=N", SetInt<&Args::seed, 0>, "cluster: mix sampling seed (default 42)"},
+    {"--bb-bound", "", SetSwitch<&Args::bb_bound>, "cluster: sample a BB-heavy mix"},
+    {"--lustre-frac", "=F", SetReal<&Args::lustre_frac>, "cluster: fraction of Lustre jobs"},
+    {"--ec-frac", "=F", SetReal<&Args::ec_frac>, "cluster: fraction of erasure-coded jobs"},
+    {"--bb-mb", "=N", SetInt<&Args::bb_mb, 0>, "cluster: BB MiB per BB node (default 64)"},
+    {"--osts", "=N", SetInt<&Args::osts, 1>, "cluster: PFS OSTs (default 4)"},
+    {"--ppn", "=N", SetInt<&Args::ppn, 1>, "cluster: client ranks per node (default 4)"},
+    {"--solo-jobs", "=N", SetInt<&Args::solo_jobs, 0>,
+     "cluster: solo-baseline warmup threads\n(0 = all hardware threads; default 1)"},
+    {"--job-file", "=FILE", SetText<&Args::job_file>, "cluster: read the mix from a job trace"},
+    {"--job-trace", "=FILE", SetText<&Args::job_trace>, "cluster: write the JSON job trace"},
 };
 
 void PrintUsage(std::FILE* out) {
+  std::fprintf(out, "usage: uvsim [flags]\n");
+  for (const Flag& flag : kFlags) {
+    std::string help = flag.help;
+    for (std::size_t nl = help.find('\n'); nl != std::string::npos; nl = help.find('\n', nl + 1))
+      help.insert(nl + 1, 34, ' ');
+    std::fprintf(out, "  %-32s%s\n", (std::string(flag.name) + flag.value).c_str(), help.c_str());
+  }
   std::fprintf(out,
-               "usage: uvsim [flags]\n"
-               "  --system=univistor|de|lustre    storage system under test\n"
-               "  --layer=dram|bb|disk            UniviStor first cache layer\n"
-               "  --workload=micro|vpic|workflow  workload to run\n"
-               "  --procs=N                       client ranks (default 256)\n"
-               "  --mb=N                          MiB written per process (default 256)\n"
-               "  --steps=N                       vpic/workflow timesteps (default 5)\n"
-               "  --read                          micro: read the file back after writing\n"
-               "  --report                        print the device-utilization table\n"
-               "  --check                         run the testkit invariant checks after\n"
-               "                                  the workload; violations exit non-zero\n"
-               "  --no-ia / --no-coc / --no-adpt / --no-la\n"
-               "                                  disable a UniviStor optimization\n"
-               "  --faults=SPEC                   inject a fault plan, e.g.\n"
-               "                                  'crash@0.5:node=1;ost@1+2:ost=3,factor=0.1'\n"
-               "                                  (grammar in docs/FAULTS.md)\n"
-               "  --ec=K+M                        erasure-code PFS files into K data +\n"
-               "                                  M parity shards (RMW partial-stripe\n"
-               "                                  writes, degraded reads; docs/FAULTS.md)\n"
-               "  --scrub[=S]                     run a background parity scrub after the\n"
-               "                                  workload, pacing S sim seconds between\n"
-               "                                  stripes (plan scrub@T events also work)\n"
-               "  --recover                       enable active recovery (retries,\n"
-               "                                  re-striping, metadata repartitioning;\n"
-               "                                  implies volatile replication)\n"
-               "  --trace=FILE                    write a Chrome trace-event timeline\n"
-               "                                  (load in chrome://tracing or Perfetto)\n"
-               "  --metrics=FILE                  write the metrics run report as JSON\n"
-               "                                  (a .csv path writes the sampled series)\n"
-               "  --sample-interval=S             gauge sampling period in simulated\n"
-               "                                  seconds (default 1 when observability\n"
-               "                                  is on; 0 disables sampling)\n"
-               "  --attribution                   run the causal wait-state analysis:\n"
-               "                                  per-job time attribution, critical\n"
-               "                                  path, device USE rollups; embedded in\n"
-               "                                  --metrics JSON (diff with uvreport)\n"
-               "  --span-limit=N                  cap recorder span memory at N spans\n"
-               "                                  (excess dropped and counted; in cluster\n"
-               "                                  mode tail-based retention prunes boring\n"
-               "                                  jobs' rank spans first)\n"
-               "  --slo[=SPEC]                    cluster: evaluate per-tenant SLOs and\n"
-               "                                  print burn-rate verdicts; SPEC is a ';'\n"
-               "                                  list like 'stretch<=4:budget=0.25'\n"
-               "                                  (default battery when omitted)\n"
-               "  --flight-recorder[=FILE]        keep a ring of recent events and dump it\n"
-               "                                  as JSON on invariant failure, node crash\n"
-               "                                  or non-zero exit (default file\n"
-               "                                  flight-recorder.json)\n"
-               "  --live                          cluster: print a progress ticker every\n"
-               "                                  sampling interval\n"
-               "  --cluster                       multi-tenant mode: run a job mix through\n"
-               "                                  the cluster scheduler and print per-job\n"
-               "                                  QoS (wait, stretch, BB interference)\n"
-               "  --jobs=N                        cluster: sampled mix size (default 8)\n"
-               "  --csched=fcfs|easy|bb           cluster: scheduling policy (default bb)\n"
-               "  --interarrival=S                cluster: mean Poisson interarrival in\n"
-               "                                  sim seconds (default 0.01; 0 = all at t=0)\n"
-               "  --seed=N                        cluster: mix sampling seed (default 42)\n"
-               "  --bb-bound                      cluster: sample a BB-heavy mix\n"
-               "  --lustre-frac=F                 cluster: fraction of Lustre jobs\n"
-               "  --ec-frac=F                     cluster: fraction of erasure-coded\n"
-               "                                  UniviStor jobs in the sampled mix\n"
-               "  --bb-mb=N                       cluster: BB capacity per BB node in MiB\n"
-               "                                  (default 64 — small, so BB binds)\n"
-               "  --osts=N                        cluster: PFS OSTs (default 4 — few, so\n"
-               "                                  spilling past the BB hurts)\n"
-               "  --ppn=N                         cluster: client ranks per node (default 4)\n"
-               "  --solo-jobs=N                   cluster: worker threads for the solo-\n"
-               "                                  baseline warmup (0 = all hardware\n"
-               "                                  threads; default 1). Output is identical\n"
-               "                                  at any worker count\n"
-               "  --job-file=FILE                 cluster: read the mix from a job trace\n"
-               "                                  (lines of 'at=T procs=N [kind=..] ...')\n"
-               "  --job-trace=FILE                cluster: write the JSON job trace\n"
                "  --help                          show this message\n"
                "Environment: UVS_LOG_LEVEL=trace|debug|info|warn|error|off\n");
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
+Args Parse(int argc, char** argv) {
+  Args args;
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
+      PrintUsage(stdout);
+      std::exit(0);
+    }
+    const Flag* flag = nullptr;
+    const char* value = nullptr;
+    for (const Flag& f : kFlags) {
+      const std::size_t len = std::strlen(f.name);
+      if (std::strncmp(arg, f.name, len) != 0) continue;
+      if (arg[len] == '\0' && f.value[0] != '=') flag = &f;
+      if (arg[len] == '=' && f.value[0] != '\0') flag = &f, value = arg + len + 1;
+      if (flag != nullptr) break;
+    }
+    if (flag == nullptr) {
+      std::fprintf(stderr, "unknown flag: %s\n\n", arg);
+      PrintUsage(stderr);
+      std::exit(2);
+    }
+    if (const std::string wants = flag->set(args, value); !wants.empty()) {
+      std::fprintf(stderr, "uvsim: %s wants %s, got %s\n", flag->name, wants.c_str(), value);
+      std::exit(2);
+    }
   }
-  return false;
+  return args;
 }
 
-/// Parses the --ec "K+M" shard spec (K data, M parity, both >= 1).
-bool ParseEcSpec(const std::string& spec, int* k, int* m) {
-  const std::size_t plus = spec.find('+');
-  if (plus == std::string::npos || plus == 0 || plus + 1 >= spec.size()) return false;
-  *k = std::atoi(spec.substr(0, plus).c_str());
-  *m = std::atoi(spec.substr(plus + 1).c_str());
-  return *k >= 1 && *m >= 1;
-}
+// --- Shared run steps ------------------------------------------------------
 
 double ScrubInterval(const Args& args) {
   return args.scrub_interval >= 0 ? args.scrub_interval
                                   : univistor::Config::EcConfig{}.scrub_stripe_interval;
 }
 
-/// Routes the EC plan events (ostfail/latent/scrub) into the shared PFS.
-void WireEcFaults(fault::Injector& injector, workload::Scenario& scenario, bool recover,
-                  double interval) {
-  storage::Pfs* pfs = &scenario.pfs();
-  sim::Engine* engine = &scenario.engine();
-  injector.AddOstFailHandler([pfs, engine, recover](int ost) {
-    pfs->FailOst(ost);
-    if (recover) engine->Spawn(pfs->RebuildOst(ost), "ec-rebuild");
-  });
-  injector.AddLatentHandler([pfs](int ost) { pfs->InjectLatentError(ost); });
-  injector.AddScrubHandler(
-      [pfs, engine, interval] { engine->Spawn(pfs->ScrubPass(interval), "ec-scrub"); });
+/// The --ec shard counts; the default (off) config without --ec.
+univistor::Config::EcConfig EcConfig(const Args& args) {
+  if (args.ec_k == 0) return {};
+  return {.enabled = true, .data_shards = args.ec_k, .parity_shards = args.ec_m};
+}
+
+void PrintSimulated(const sim::Engine& engine) {
+  std::printf("simulated %s in %llu events\n", HumanTime(engine.Now()).c_str(),
+              static_cast<unsigned long long>(engine.processed_events()));
 }
 
 void PrintEcStats(const storage::Pfs& pfs) {
@@ -219,72 +290,74 @@ void PrintEcStats(const storage::Pfs& pfs) {
               HumanBytes(e.lost_bytes).c_str());
 }
 
-Args Parse(int argc, char** argv) {
-  Args args;
-  std::string value;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (ParseFlag(arg, "--system", &value)) args.system = value;
-    else if (ParseFlag(arg, "--layer", &value)) args.layer = value;
-    else if (ParseFlag(arg, "--workload", &value)) args.workload = value;
-    else if (ParseFlag(arg, "--procs", &value)) args.procs = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--mb", &value)) args.mb = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--steps", &value)) args.steps = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--faults", &value)) args.faults = value;
-    else if (ParseFlag(arg, "--ec", &value)) args.ec = value;
-    else if (std::strcmp(arg, "--scrub") == 0) args.scrub = true;
-    else if (ParseFlag(arg, "--scrub", &value)) {
-      args.scrub = true;
-      args.scrub_interval = std::atof(value.c_str());
-    }
-    else if (std::strcmp(arg, "--recover") == 0) args.recover = true;
-    else if (ParseFlag(arg, "--trace", &value)) args.trace = value;
-    else if (ParseFlag(arg, "--metrics", &value)) args.metrics = value;
-    else if (ParseFlag(arg, "--sample-interval", &value))
-      args.sample_interval = std::atof(value.c_str());
-    else if (std::strcmp(arg, "--attribution") == 0) args.attribution = true;
-    else if (ParseFlag(arg, "--span-limit", &value))
-      args.span_limit = std::atoll(value.c_str());
-    else if (std::strcmp(arg, "--slo") == 0) args.slo = true;
-    else if (ParseFlag(arg, "--slo", &value)) {
-      args.slo = true;
-      args.slo_spec = value;
-    }
-    else if (std::strcmp(arg, "--flight-recorder") == 0) args.flight = "flight-recorder.json";
-    else if (ParseFlag(arg, "--flight-recorder", &value)) args.flight = value;
-    else if (std::strcmp(arg, "--live") == 0) args.live = true;
-    else if (std::strcmp(arg, "--cluster") == 0) args.cluster = true;
-    else if (ParseFlag(arg, "--jobs", &value)) args.jobs = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--csched", &value)) args.csched = value;
-    else if (ParseFlag(arg, "--interarrival", &value))
-      args.interarrival = std::atof(value.c_str());
-    else if (ParseFlag(arg, "--seed", &value)) args.seed = std::strtoull(value.c_str(), nullptr, 10);
-    else if (std::strcmp(arg, "--bb-bound") == 0) args.bb_bound = true;
-    else if (ParseFlag(arg, "--lustre-frac", &value)) args.lustre_frac = std::atof(value.c_str());
-    else if (ParseFlag(arg, "--ec-frac", &value)) args.ec_frac = std::atof(value.c_str());
-    else if (ParseFlag(arg, "--bb-mb", &value)) args.bb_mb = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--osts", &value)) args.osts = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--ppn", &value)) args.ppn = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--solo-jobs", &value)) args.solo_jobs = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--job-file", &value)) args.job_file = value;
-    else if (ParseFlag(arg, "--job-trace", &value)) args.job_trace = value;
-    else if (std::strcmp(arg, "--read") == 0) args.read = true;
-    else if (std::strcmp(arg, "--report") == 0) args.report = true;
-    else if (std::strcmp(arg, "--check") == 0) args.check = true;
-    else if (std::strcmp(arg, "--no-ia") == 0) args.ia = false;
-    else if (std::strcmp(arg, "--no-coc") == 0) args.coc = false;
-    else if (std::strcmp(arg, "--no-adpt") == 0) args.adpt = false;
-    else if (std::strcmp(arg, "--no-la") == 0) args.la = false;
-    else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      PrintUsage(stdout);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n\n", arg);
-      PrintUsage(stderr);
-      std::exit(2);
-    }
+/// Arms the --faults plan before the run starts so its events interleave
+/// with writes, flushes and reads (docs/FAULTS.md); `attach` routes the
+/// plan's crashes. Leaves `injector` empty without a plan; false on a bad
+/// plan.
+bool ArmFaults(const Args& args, workload::Scenario& scenario,
+               const std::function<void(fault::Injector&)>& attach,
+               std::unique_ptr<fault::Injector>& injector) {
+  if (args.faults.empty()) return true;
+  auto plan = fault::ParsePlan(args.faults);
+  if (!plan.ok()) {
+    std::fprintf(stderr, "uvsim: --faults: %s\n", plan.status().ToString().c_str());
+    return false;
   }
-  return args;
+  injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
+  attach(*injector);
+  workload::WireEcFaults(*injector, scenario, args.recover, ScrubInterval(args));
+  injector->Arm();
+  std::printf("faults: %s\n", plan->ToString().c_str());
+  return true;
+}
+
+/// Prints the --check verdict; on violations dumps the flight recorder
+/// and returns exit code 1.
+int ReportCheck(const testkit::InvariantReport& report, Time now) {
+  if (report.ok()) {
+    std::printf("check: all invariants hold\n");
+    return 0;
+  }
+  std::fprintf(stderr, "uvsim: invariant violations:\n%s", report.ToString().c_str());
+  if (Status fs = testkit::DumpInvariantFailure(report, now); !fs.ok())
+    std::fprintf(stderr, "uvsim: flight dump failed: %s\n", fs.ToString().c_str());
+  return 1;
+}
+
+/// Writes --trace and --metrics, then warns when the span cap dropped
+/// spans. Returns the exit code.
+int Export(const Args& args, const obs::Recorder& recorder, Time now,
+           const std::string& attribution_json, const std::string& telemetry_json,
+           const std::string& slo_json) {
+  const auto failed = [](const std::string& path, const Status& s) {
+    std::fprintf(stderr, "uvsim: writing %s: %s\n", path.c_str(), s.ToString().c_str());
+    return 1;
+  };
+  if (!args.trace.empty()) {
+    if (Status s = recorder.WriteChromeTrace(args.trace); !s.ok()) return failed(args.trace, s);
+    std::printf("trace: %s (%zu spans, %zu samples)\n", args.trace.c_str(),
+                recorder.span_count(), recorder.sample_count());
+  }
+  if (!args.metrics.empty()) {
+    const bool csv = args.metrics.size() >= 4 &&
+                     args.metrics.compare(args.metrics.size() - 4, 4, ".csv") == 0;
+    Status s = csv ? recorder.WriteSeriesCsv(args.metrics)
+                   : recorder.WriteMetricsJson(args.metrics, now, attribution_json,
+                                               telemetry_json, slo_json);
+    if (!s.ok()) return failed(args.metrics, s);
+    std::printf("metrics: %s\n", args.metrics.c_str());
+  }
+  if (recorder.spans_dropped() > 0) {
+    const std::string pruned =
+        args.cluster ? " (" + std::to_string(recorder.spans_pruned()) + " pruned by tail retention)"
+                     : "";
+    std::fprintf(stderr,
+                 "uvsim: warning: %llu spans dropped at span cap %zu%s — trace detail is "
+                 "incomplete; raise --span-limit\n",
+                 static_cast<unsigned long long>(recorder.spans_dropped()),
+                 recorder.span_limit(), pruned.c_str());
+  }
+  return 0;
 }
 
 /// Multi-tenant mode: sample (or read) a job mix, run it through
@@ -312,16 +385,12 @@ int RunCluster(const Args& args) {
   params.bb.capacity_per_bb_node = static_cast<Bytes>(args.bb_mb) * 1_MiB;
   params.pfs.osts = args.osts;
   params.seed = static_cast<std::uint64_t>(args.seed);
+  workload::Scenario scenario({.procs = args.procs,
+                               .policy = sched::PlacementPolicy::kInterferenceAware,
+                               .cluster_params = params});
 
-  workload::ScenarioOptions options;
-  options.procs = args.procs;
-  options.policy = sched::PlacementPolicy::kInterferenceAware;
-  options.cluster_params = params;
-  workload::Scenario scenario(options);
-
-  const double interval = args.sample_interval >= 0
-                              ? args.sample_interval
-                              : ((obs_on || args.live) ? 1.0 : 0.0);
+  const double interval =
+      args.sample_interval >= 0 ? args.sample_interval : ((obs_on || args.live) ? 1.0 : 0.0);
   obs::Sampler sampler(scenario.engine(), recorder, interval);
   if (obs_on) hw::RegisterClusterGauges(sampler, scenario.cluster());
 
@@ -341,13 +410,12 @@ int RunCluster(const Args& args) {
     }
     jobs = *std::move(parsed);
   } else {
-    cluster::MixParams mix;
-    mix.jobs = args.jobs;
-    mix.mean_interarrival = args.interarrival;
-    mix.bb_bound = args.bb_bound;
-    mix.lustre_fraction = args.lustre_frac;
-    mix.ec_fraction = args.ec_frac;
-    jobs = cluster::SampleJobMix(static_cast<std::uint64_t>(args.seed), mix);
+    jobs = cluster::SampleJobMix(static_cast<std::uint64_t>(args.seed),
+                                 {.jobs = args.jobs,
+                                  .mean_interarrival = args.interarrival,
+                                  .bb_bound = args.bb_bound,
+                                  .lustre_fraction = args.lustre_frac,
+                                  .ec_fraction = args.ec_frac});
   }
   if (jobs.empty()) {
     std::fprintf(stderr, "uvsim: empty job mix\n");
@@ -362,18 +430,9 @@ int RunCluster(const Args& args) {
   // default chunk would make every per-rank BB log come out below one
   // chunk and silently drop the BB layer even under a full reservation.
   cluster_options.base_config.chunk_size = 1_MiB;
-  if (!args.ec.empty()) {
-    int k = 0, m = 0;
-    if (!ParseEcSpec(args.ec, &k, &m)) {
-      std::fprintf(stderr, "uvsim: --ec wants K+M with K,M >= 1, got %s\n", args.ec.c_str());
-      return 2;
-    }
-    // Every UniviStor job in the mix erasure-codes its PFS files; --ec-frac
-    // instead marks a sampled subset (with the 4+2 default shard counts).
-    cluster_options.base_config.ec.enabled = true;
-    cluster_options.base_config.ec.data_shards = k;
-    cluster_options.base_config.ec.parity_shards = m;
-  }
+  // Every UniviStor job in the mix erasure-codes its PFS files; --ec-frac
+  // instead marks a sampled subset (with the 4+2 default shard counts).
+  cluster_options.base_config.ec = EcConfig(args);
   // Telemetry is always-on whenever anything observes the run: --slo asks
   // for it explicitly, and a trace/metrics export should carry the
   // telemetry + slo blocks without extra flags.
@@ -398,18 +457,9 @@ int RunCluster(const Args& args) {
     });
 
   std::unique_ptr<fault::Injector> injector;
-  if (!args.faults.empty()) {
-    auto plan = fault::ParsePlan(args.faults);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "uvsim: --faults: %s\n", plan.status().ToString().c_str());
-      return 2;
-    }
-    injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
-    sim.AttachInjector(*injector);
-    WireEcFaults(*injector, scenario, args.recover, ScrubInterval(args));
-    injector->Arm();
-    std::printf("faults: %s\n", plan->ToString().c_str());
-  }
+  if (!ArmFaults(args, scenario, [&sim](fault::Injector& inj) { sim.AttachInjector(inj); },
+                 injector))
+    return 2;
 
   std::printf("uvsim cluster: policy=%s jobs=%d seed=%llu nodes=%d bb=%s\n",
               cluster::PolicyName(*policy), sim.job_count(),
@@ -418,10 +468,8 @@ int RunCluster(const Args& args) {
 
   sampler.Kick();
   sim.Run();
-  if (args.scrub && (!args.ec.empty() || args.ec_frac > 0)) {
-    scenario.engine().Spawn(scenario.pfs().ScrubPass(ScrubInterval(args)), "ec-scrub-final");
-    scenario.engine().Run();
-  }
+  const bool erasure = args.ec_k > 0 || args.ec_frac > 0;
+  if (args.scrub && erasure) workload::RunFinalScrub(scenario, ScrubInterval(args));
 
   std::printf("%4s %-10s %-9s %5s %8s %9s %9s %8s %9s %10s\n", "job", "kind", "system",
               "procs", "arrival", "wait", "stretch", "bb", "drain-if", "lost");
@@ -441,7 +489,7 @@ int RunCluster(const Args& args) {
               HumanTime(summary.total_drain_interference).c_str(),
               HumanBytes(sim.peak_bb_reserved()).c_str(),
               HumanBytes(sim.bb_capacity()).c_str());
-  if (!args.ec.empty() || args.ec_frac > 0) PrintEcStats(scenario.pfs());
+  if (erasure) PrintEcStats(scenario.pfs());
   if (args.slo && sim.telemetry_enabled()) {
     std::printf("%-16s %8s %9s %10s %10s %7s %9s\n", "slo (cluster)", "budget", "consumed",
                 "burn-fast", "burn-slow", "alerts", "verdict");
@@ -458,38 +506,13 @@ int RunCluster(const Args& args) {
                 100.0 * stretch.relative_error(), summary.p50_stretch,
                 summary.p99_stretch);
   }
-  std::printf("simulated %s in %llu events\n", HumanTime(scenario.engine().Now()).c_str(),
-              static_cast<unsigned long long>(scenario.engine().processed_events()));
+  PrintSimulated(scenario.engine());
 
   if (args.check) {
-    testkit::InvariantReport check_report;
-    testkit::CheckQuiescence(scenario.engine(), check_report);
-    testkit::CheckPoolConservation(scenario, check_report);
-    for (int j = 0; j < sim.job_count(); ++j)
-      if (const univistor::UniviStor* sys = sim.system(j))
-        testkit::CheckUniviStor(*sys, check_report);
-    if (sim.completed_jobs() != sim.job_count() && injector == nullptr) {
-      check_report.Add("cluster-starvation",
-                       std::to_string(sim.job_count() - sim.completed_jobs()) +
-                           " jobs never completed");
-    }
-    if (sim.peak_bb_reserved() > sim.bb_capacity()) {
-      check_report.Add("cluster-bb-capacity",
-                       "peak BB reservation " + std::to_string(sim.peak_bb_reserved()) +
-                           " exceeds capacity " + std::to_string(sim.bb_capacity()));
-    }
-    if (!check_report.ok()) {
-      std::fprintf(stderr, "uvsim: invariant violations:\n%s",
-                   check_report.ToString().c_str());
-      for (const auto& v : check_report.violations)
-        obs::FlightNote(scenario.engine().Now(), "invariant", v.invariant, 0, v.detail);
-      if (Status fs = obs::FlightDump("invariant-failure"); !fs.ok())
-        std::fprintf(stderr, "uvsim: flight dump failed: %s\n", fs.ToString().c_str());
-      return 1;
-    }
-    std::printf("check: all invariants hold\n");
+    testkit::InvariantReport report;
+    testkit::CheckClusterRun(scenario, sim, erasure, injector != nullptr, report);
+    if (const int rc = ReportCheck(report, scenario.engine().Now()); rc != 0) return rc;
   }
-
   if (!args.job_trace.empty()) {
     std::ofstream out(args.job_trace);
     if (!out) {
@@ -499,48 +522,23 @@ int RunCluster(const Args& args) {
     out << sim.JobTraceJson();
     std::printf("job trace: %s\n", args.job_trace.c_str());
   }
-  if (!args.trace.empty()) {
-    if (Status s = recorder.WriteChromeTrace(args.trace); !s.ok()) {
-      std::fprintf(stderr, "uvsim: writing %s: %s\n", args.trace.c_str(),
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("trace: %s (%zu spans, %zu samples)\n", args.trace.c_str(),
-                recorder.span_count(), recorder.sample_count());
-  }
-  if (!args.metrics.empty()) {
-    const bool csv = args.metrics.size() >= 4 &&
-                     args.metrics.compare(args.metrics.size() - 4, 4, ".csv") == 0;
-    std::string telemetry_json;
-    std::string slo_json;
-    if (sim.telemetry_enabled()) {
-      telemetry_json = sim.TelemetryJson();
-      slo_json = sim.SloJson();
-    }
-    Status s = csv ? recorder.WriteSeriesCsv(args.metrics)
-                   : recorder.WriteMetricsJson(args.metrics, scenario.engine().Now(), "",
-                                               telemetry_json, slo_json);
-    if (!s.ok()) {
-      std::fprintf(stderr, "uvsim: writing %s: %s\n", args.metrics.c_str(),
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("metrics: %s\n", args.metrics.c_str());
-  }
-  if (recorder.spans_dropped() > 0)
-    std::fprintf(stderr,
-                 "uvsim: warning: %llu spans dropped at span cap %zu (%llu pruned "
-                 "by tail retention) — trace detail is incomplete; raise --span-limit\n",
-                 static_cast<unsigned long long>(recorder.spans_dropped()),
-                 recorder.span_limit(),
-                 static_cast<unsigned long long>(recorder.spans_pruned()));
-  return 0;
+  const bool telemetry = sim.telemetry_enabled() && !args.metrics.empty();
+  return Export(args, recorder, scenario.engine().Now(), "",
+                telemetry ? sim.TelemetryJson() : "", telemetry ? sim.SloJson() : "");
 }
 
 int Run(const Args& args) {
   if (args.cluster) return RunCluster(args);
-  if (!args.ec.empty() && args.system != "univistor") {
+  if (args.ec_k > 0 && args.system != "univistor") {
     std::fprintf(stderr, "uvsim: --ec needs --system=univistor\n");
+    return 2;
+  }
+  using workload::SystemKind;
+  const SystemKind kind = args.system == "de"       ? SystemKind::kDataElevator
+                          : args.system == "lustre" ? SystemKind::kLustre
+                                                    : SystemKind::kUniviStor;
+  if (kind == SystemKind::kUniviStor && args.system != "univistor") {
+    std::fprintf(stderr, "unknown --system=%s\n", args.system.c_str());
     return 2;
   }
   // The recorder outlives the scenario (spans are emitted from coroutine
@@ -550,128 +548,72 @@ int Run(const Args& args) {
   if (args.span_limit >= 0) recorder.SetSpanLimit(static_cast<std::size_t>(args.span_limit));
   if (obs_on) recorder.Install();
 
-  workload::ScenarioOptions options;
-  options.procs = args.procs;
-  options.workflow_enabled = args.workload == "workflow";
-  options.policy = (args.system == "univistor" && args.ia)
-                       ? sched::PlacementPolicy::kInterferenceAware
-                       : sched::PlacementPolicy::kCfs;
-  workload::Scenario scenario(options);
-
-  const double interval =
-      args.sample_interval >= 0 ? args.sample_interval : (obs_on ? 1.0 : 0.0);
-  obs::Sampler sampler(scenario.engine(), recorder, interval);
+  workload::Scenario scenario({.procs = args.procs,
+                               .policy = kind == SystemKind::kUniviStor && args.ia
+                                             ? sched::PlacementPolicy::kInterferenceAware
+                                             : sched::PlacementPolicy::kCfs,
+                               .workflow_enabled = args.workload == "workflow"});
+  obs::Sampler sampler(scenario.engine(), recorder,
+                       args.sample_interval >= 0 ? args.sample_interval : (obs_on ? 1.0 : 0.0));
   if (obs_on) hw::RegisterClusterGauges(sampler, scenario.cluster());
 
-  // Assemble the system under test behind the common ADIO interface.
-  std::unique_ptr<univistor::UniviStor> uvs_system;
-  std::unique_ptr<univistor::UniviStorDriver> uvs_driver;
-  std::unique_ptr<baselines::DataElevator> de_system;
-  std::unique_ptr<baselines::DataElevatorDriver> de_driver;
-  std::unique_ptr<baselines::LustreDriver> lustre_driver;
-  vmpi::AdioDriver* driver = nullptr;
-
-  if (args.system == "univistor") {
-    univistor::Config config;
-    config.collective_open_close = args.coc;
-    config.adaptive_striping = args.adpt;
-    config.location_aware_reads = args.la;
-    config.interference_aware_flush = args.ia;
-    config.first_cache_layer = args.layer == "bb"     ? hw::Layer::kSharedBurstBuffer
-                               : args.layer == "disk" ? hw::Layer::kPfs
-                                                      : hw::Layer::kDram;
-    config.recovery.enabled = args.recover;
-    if (args.recover) config.replicate_volatile = true;
-    if (!args.ec.empty()) {
-      int k = 0, m = 0;
-      if (!ParseEcSpec(args.ec, &k, &m)) {
-        std::fprintf(stderr, "uvsim: --ec wants K+M with K,M >= 1, got %s\n", args.ec.c_str());
-        return 2;
-      }
-      config.ec.enabled = true;
-      config.ec.data_shards = k;
-      config.ec.parity_shards = m;
-    }
-    uvs_system = std::make_unique<univistor::UniviStor>(
-        scenario.runtime(), scenario.pfs(), scenario.workflow(), config);
-    uvs_driver = std::make_unique<univistor::UniviStorDriver>(*uvs_system);
-    driver = uvs_driver.get();
-    if (obs_on) uvs_system->RegisterGauges(sampler);
-  } else if (args.system == "de") {
-    de_system =
-        std::make_unique<baselines::DataElevator>(scenario.runtime(), scenario.pfs());
-    de_driver = std::make_unique<baselines::DataElevatorDriver>(*de_system);
-    driver = de_driver.get();
-  } else if (args.system == "lustre") {
-    lustre_driver =
-        std::make_unique<baselines::LustreDriver>(scenario.runtime(), scenario.pfs());
-    driver = lustre_driver.get();
-  } else {
-    std::fprintf(stderr, "unknown --system=%s\n", args.system.c_str());
-    return 2;
-  }
+  univistor::Config config;
+  config.collective_open_close = args.coc;
+  config.adaptive_striping = args.adpt;
+  config.location_aware_reads = args.la;
+  config.interference_aware_flush = args.ia;
+  config.first_cache_layer = args.layer == "bb"     ? hw::Layer::kSharedBurstBuffer
+                             : args.layer == "disk" ? hw::Layer::kPfs
+                                                    : hw::Layer::kDram;
+  config.recovery.enabled = args.recover;
+  config.replicate_volatile = args.recover;
+  config.ec = EcConfig(args);
+  const workload::SystemUnderTest sut = workload::BuildSystem(kind, scenario, config);
+  univistor::UniviStor* system = sut.univistor();
+  if (obs_on && system != nullptr) system->RegisterGauges(sampler);
+  vmpi::AdioDriver& driver = sut.driver();
 
   std::printf("uvsim: system=%s layer=%s workload=%s procs=%d\n", args.system.c_str(),
               args.layer.c_str(), args.workload.c_str(), args.procs);
 
-  // Arm the fault plan before the workload starts so its events interleave
-  // with writes, flushes, and reads (docs/FAULTS.md).
   std::unique_ptr<fault::Injector> injector;
-  if (!args.faults.empty()) {
-    auto plan = fault::ParsePlan(args.faults);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "uvsim: --faults: %s\n", plan.status().ToString().c_str());
-      return 2;
-    }
-    injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
-    injector->set_cluster(&scenario.cluster());
-    if (uvs_system != nullptr) {
-      univistor::UniviStor* sys = uvs_system.get();
-      injector->SetCrashHandler([sys](int node) { sys->FailNode(node); });
-      uvs_system->AttachFaults(injector.get());
-    }
-    WireEcFaults(*injector, scenario, args.recover, ScrubInterval(args));
-    injector->Arm();
-    std::printf("faults: %s\n", plan->ToString().c_str());
-  }
+  if (!ArmFaults(args, scenario,
+                 [&](fault::Injector& inj) { sut.AttachInjector(inj, scenario); }, injector))
+    return 2;
 
+  const Bytes bytes_per_var = static_cast<Bytes>(args.mb) * 1_MiB / 8;
   if (args.workload == "micro") {
     const auto app = scenario.runtime().LaunchProgram("app", args.procs);
     workload::MicroParams params{.bytes_per_proc = static_cast<Bytes>(args.mb) * 1_MiB,
                                  .file_name = "uvsim.h5"};
     if (args.read) {
       sampler.Kick();
-      workload::RunHdfMicro(scenario, app, *driver, params);
+      workload::RunHdfMicro(scenario, app, driver, params);
       params.read = true;
     }
     sampler.Kick();
-    const auto t = workload::RunHdfMicro(scenario, app, *driver, params);
+    const auto t = workload::RunHdfMicro(scenario, app, driver, params);
     std::printf("open %s | io %s | close %s | elapsed %s | rate %s\n",
                 HumanTime(t.open).c_str(), HumanTime(t.io).c_str(),
                 HumanTime(t.close).c_str(), HumanTime(t.elapsed).c_str(),
                 HumanRate(t.rate()).c_str());
   } else if (args.workload == "vpic") {
     const auto app = scenario.runtime().LaunchProgram("vpic", args.procs);
-    const workload::VpicParams params{.steps = args.steps,
-                                      .vars = 8,
-                                      .bytes_per_var = static_cast<Bytes>(args.mb) * 1_MiB / 8,
-                                      .compute_time = 60.0};
     sampler.Kick();
-    const auto r = workload::RunVpic(scenario, app, *driver, params);
+    const auto r = workload::RunVpic(
+        scenario, app, driver,
+        {.steps = args.steps, .vars = 8, .bytes_per_var = bytes_per_var, .compute_time = 60.0});
     std::printf("write %s | final flush wait %s | total I/O %s | elapsed %s\n",
                 HumanTime(r.write_time).c_str(), HumanTime(r.final_flush_wait).c_str(),
                 HumanTime(r.total_io_time).c_str(), HumanTime(r.elapsed).c_str());
   } else if (args.workload == "workflow") {
     const auto writer = scenario.runtime().LaunchProgram("vpic", args.procs / 2);
     const auto reader = scenario.runtime().LaunchProgram("bdcats", args.procs / 2);
-    const workload::VpicParams params{.steps = args.steps,
-                                      .vars = 8,
-                                      .bytes_per_var = static_cast<Bytes>(args.mb) * 1_MiB / 8,
-                                      .compute_time = 0.0};
-    workload::VpicRun vpic(scenario, writer, *driver, params);
-    workload::BdcatsRun bdcats(scenario, reader, *driver,
-                               workload::BdcatsParams{.producer = params,
-                                                      .producer_ranks = args.procs / 2});
+    const workload::VpicParams params{
+        .steps = args.steps, .vars = 8, .bytes_per_var = bytes_per_var, .compute_time = 0.0};
+    workload::VpicRun vpic(scenario, writer, driver, params);
+    workload::BdcatsRun bdcats(scenario, reader, driver,
+                               {.producer = params, .producer_ranks = args.procs / 2});
     vpic.Start();
     bdcats.Start();
     sampler.Kick();
@@ -684,14 +626,10 @@ int Run(const Args& args) {
     std::fprintf(stderr, "unknown --workload=%s\n", args.workload.c_str());
     return 2;
   }
+  if (args.scrub && args.ec_k > 0) workload::RunFinalScrub(scenario, ScrubInterval(args));
 
-  if (args.scrub && !args.ec.empty()) {
-    scenario.engine().Spawn(scenario.pfs().ScrubPass(ScrubInterval(args)), "ec-scrub-final");
-    scenario.engine().Run();
-  }
-
-  if (uvs_system != nullptr && uvs_system->flush_stats().flushes > 0) {
-    const auto& f = uvs_system->flush_stats();
+  if (system != nullptr && system->flush_stats().flushes > 0) {
+    const auto& f = system->flush_stats();
     std::printf("flush: %d flushes, %s, last took %s\n", f.flushes,
                 HumanBytes(f.bytes_flushed).c_str(),
                 HumanTime(f.last_flush_duration).c_str());
@@ -707,45 +645,35 @@ int Run(const Args& args) {
                 HumanTime(scenario.cluster().pfs().degraded_seconds()).c_str(),
                 HumanTime(scenario.cluster().burst_buffer().degraded_seconds()).c_str());
   }
-  if (uvs_system != nullptr && (injector != nullptr || args.recover)) {
+  if (system != nullptr && (injector != nullptr || args.recover)) {
     std::printf("recovery: %llu flush retries (%s backoff), %s re-striped, "
                 "%llu metadata records repartitioned, %s safe-mode, %s lost\n",
-                static_cast<unsigned long long>(uvs_system->flush_retries()),
-                HumanTime(uvs_system->backoff_seconds()).c_str(),
-                HumanBytes(uvs_system->restriped_bytes()).c_str(),
-                static_cast<unsigned long long>(uvs_system->repartitioned_records()),
-                HumanBytes(uvs_system->safe_mode_bytes()).c_str(),
-                HumanBytes(uvs_system->lost_bytes()).c_str());
+                static_cast<unsigned long long>(system->flush_retries()),
+                HumanTime(system->backoff_seconds()).c_str(),
+                HumanBytes(system->restriped_bytes()).c_str(),
+                static_cast<unsigned long long>(system->repartitioned_records()),
+                HumanBytes(system->safe_mode_bytes()).c_str(),
+                HumanBytes(system->lost_bytes()).c_str());
   }
-  if (!args.ec.empty()) PrintEcStats(scenario.pfs());
-  std::printf("simulated %s in %llu events\n", HumanTime(scenario.engine().Now()).c_str(),
-              static_cast<unsigned long long>(scenario.engine().processed_events()));
+  if (args.ec_k > 0) PrintEcStats(scenario.pfs());
+  PrintSimulated(scenario.engine());
 
   // Kernel-health counters, surfaced in the metrics run report alongside
   // the simulation-level metrics (see docs/PERFORMANCE.md).
-  {
-    const sim::Engine& engine = scenario.engine();
-    obs::Count("sim.events_processed", engine.processed_events());
-    obs::Count("sim.events_cancelled", engine.cancelled_events());
-    obs::Count("sim.heap_peak", engine.heap_peak());
-    obs::Count("sim.frames_reclaimed", engine.frames_reclaimed());
-    obs::SetGauge("sim.live_processes", static_cast<double>(engine.live_processes()));
-  }
+  const sim::Engine& engine = scenario.engine();
+  obs::Count("sim.events_processed", engine.processed_events());
+  obs::Count("sim.events_cancelled", engine.cancelled_events());
+  obs::Count("sim.heap_peak", engine.heap_peak());
+  obs::Count("sim.frames_reclaimed", engine.frames_reclaimed());
+  obs::SetGauge("sim.live_processes", static_cast<double>(engine.live_processes()));
   if (args.check) {
-    testkit::InvariantReport check_report;
-    testkit::CheckQuiescence(scenario.engine(), check_report);
-    testkit::CheckPoolConservation(scenario, check_report);
-    if (uvs_system != nullptr) testkit::CheckUniviStor(*uvs_system, check_report);
-    if (!check_report.ok()) {
-      std::fprintf(stderr, "uvsim: invariant violations:\n%s",
-                   check_report.ToString().c_str());
-      for (const auto& v : check_report.violations)
-        obs::FlightNote(scenario.engine().Now(), "invariant", v.invariant, 0, v.detail);
-      if (Status fs = obs::FlightDump("invariant-failure"); !fs.ok())
-        std::fprintf(stderr, "uvsim: flight dump failed: %s\n", fs.ToString().c_str());
-      return 1;
-    }
-    std::printf("check: all invariants hold\n");
+    const bool fault_plan = injector != nullptr;
+    const Bytes bound = fault_plan && system != nullptr
+                            ? testkit::ExpectedLostBytes(*system, scenario.runtime())
+                            : 0;
+    testkit::InvariantReport report;
+    testkit::CheckSingleRun(scenario, system, args.ec_k > 0, fault_plan, bound, report);
+    if (const int rc = ReportCheck(report, engine.Now()); rc != 0) return rc;
   }
   if (args.report)
     std::printf("%s", hw::CollectUtilization(scenario.cluster()).ToString().c_str());
@@ -756,15 +684,13 @@ int Run(const Args& args) {
     scenario.cluster().pfs().FlushDegradeSpans();
     scenario.cluster().burst_buffer().FlushDegradeSpans();
   }
-
   std::string attribution_json;
   if (args.attribution) {
     std::vector<obs::JobSpec> jobs;
     vmpi::Runtime& runtime = scenario.runtime();
     for (int p = 0; p < runtime.program_count(); ++p)
       jobs.push_back({p, runtime.ProgramName(p), runtime.IsServer(p), runtime.ProgramSize(p)});
-    const obs::Report attribution =
-        obs::Analyze(recorder, jobs, scenario.engine().Now());
+    const obs::Report attribution = obs::Analyze(recorder, jobs, engine.Now());
     std::printf("%s", obs::ToText(attribution).c_str());
     if (recorder.spans_dropped() > 0)
       std::printf("attribution: %llu spans dropped at cap %zu — categories "
@@ -773,36 +699,7 @@ int Run(const Args& args) {
                   recorder.span_limit());
     attribution_json = obs::AttributionJson(attribution);
   }
-
-  if (!args.trace.empty()) {
-    if (Status s = recorder.WriteChromeTrace(args.trace); !s.ok()) {
-      std::fprintf(stderr, "uvsim: writing %s: %s\n", args.trace.c_str(),
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("trace: %s (%zu spans, %zu samples)\n", args.trace.c_str(),
-                recorder.span_count(), recorder.sample_count());
-  }
-  if (!args.metrics.empty()) {
-    const bool csv = args.metrics.size() >= 4 &&
-                     args.metrics.compare(args.metrics.size() - 4, 4, ".csv") == 0;
-    Status s = csv ? recorder.WriteSeriesCsv(args.metrics)
-                   : recorder.WriteMetricsJson(args.metrics, scenario.engine().Now(),
-                                               attribution_json);
-    if (!s.ok()) {
-      std::fprintf(stderr, "uvsim: writing %s: %s\n", args.metrics.c_str(),
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("metrics: %s\n", args.metrics.c_str());
-  }
-  if (recorder.spans_dropped() > 0)
-    std::fprintf(stderr,
-                 "uvsim: warning: %llu spans dropped at span cap %zu — trace "
-                 "detail is incomplete; raise --span-limit\n",
-                 static_cast<unsigned long long>(recorder.spans_dropped()),
-                 recorder.span_limit());
-  return 0;
+  return Export(args, recorder, engine.Now(), attribution_json, "", "");
 }
 
 }  // namespace
