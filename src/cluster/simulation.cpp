@@ -12,6 +12,9 @@ namespace uvs::cluster {
 
 namespace {
 
+/// Walltime estimate fed to backfill: solo time x fudge.
+constexpr double kEstimateFudge = 3.0;
+
 hw::Layer FirstLayer(int layer) {
   switch (layer) {
     case 2: return hw::Layer::kSharedBurstBuffer;
@@ -343,7 +346,7 @@ void ClusterSim::TrySchedule() {
     sched.id = idx;
     sched.nodes_needed = NodesNeeded(job.spec);
     sched.bb_demand = ClampedDemand(job.spec);
-    sched.est_runtime = std::max(job.solo_elapsed, 1e-3) * options_.estimate_fudge;
+    sched.est_runtime = std::max(job.solo_elapsed, 1e-3) * kEstimateFudge;
     state.pending.push_back(sched);
   }
   for (const JobState& job : jobs_) {
@@ -371,7 +374,7 @@ void ClusterSim::TrySchedule() {
     peak_bb_reserved_ = std::max(peak_bb_reserved_, bb_reserved_);
     assert(bb_reserved_ <= bb_capacity_);
     job.est_finish =
-        state.now + std::max(job.solo_elapsed, 1e-3) * options_.estimate_fudge;
+        state.now + std::max(job.solo_elapsed, 1e-3) * kEstimateFudge;
     job.started = true;
     pending_.erase(std::find(pending_.begin(), pending_.end(), adm.id));
     job.start_event->Trigger();
@@ -424,7 +427,7 @@ void ClusterSim::RecordTelemetry(int idx) {
   const JobQos& qos = qos_[static_cast<std::size_t>(idx)];
   const Time now = qos.finish;
   const std::string tenant = TenantKey(job.spec);
-  auto [it, inserted] = tenants_.try_emplace(tenant, options_.telemetry.sketch_error);
+  auto [it, inserted] = tenants_.try_emplace(tenant);
   TenantTelemetry& tt = it->second;
   if (inserted)
     for (const obs::SloSpec& spec : options_.telemetry.slos) tt.slos.emplace_back(spec);
@@ -494,20 +497,20 @@ const obs::QuantileSketch* ClusterSim::TenantStretchSketch(const std::string& te
 }
 
 obs::QuantileSketch ClusterSim::ClusterStretchSketch() const {
-  obs::QuantileSketch merged(options_.telemetry.sketch_error);
+  obs::QuantileSketch merged;
   for (const auto& [tenant, tt] : tenants_) merged.Merge(tt.stretch);
   return merged;
 }
 
 obs::QuantileSketch ClusterSim::ClusterWaitSketch() const {
-  obs::QuantileSketch merged(options_.telemetry.sketch_error);
+  obs::QuantileSketch merged;
   for (const auto& [tenant, tt] : tenants_) merged.Merge(tt.wait);
   return merged;
 }
 
 std::string ClusterSim::TelemetryJson() const {
   std::string out = "{\"schema\":\"univistor.telemetry.v1\"";
-  out += ",\"relative_error\":" + FmtDouble(options_.telemetry.sketch_error);
+  out += ",\"relative_error\":" + FmtDouble(obs::QuantileSketch::kDefaultRelativeError);
   out += ",\"tenants\":{";
   bool first = true;
   for (const auto& [tenant, tt] : tenants_) {

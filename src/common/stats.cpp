@@ -1,7 +1,6 @@
 #include "src/common/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <sstream>
 
@@ -32,44 +31,6 @@ std::string RunningStats::ToString() const {
   std::ostringstream os;
   os << "n=" << count_ << " mean=" << mean() << " min=" << min() << " max=" << max()
      << " sd=" << stddev();
-  return os.str();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::Add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<long long>(std::floor((x - lo_) / width));
-  if (idx < 0) ++underflow_;
-  if (idx >= static_cast<long long>(counts_.size())) ++overflow_;
-  idx = std::clamp<long long>(idx, 0, static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::Quantile(double q) const {
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += static_cast<double>(counts_[i]);
-    if (cum >= target) return lo_ + width * static_cast<double>(i + 1);
-  }
-  return hi_;
-}
-
-std::string Histogram::ToString() const {
-  std::ostringstream os;
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    os << "[" << lo_ + width * static_cast<double>(i) << ","
-       << lo_ + width * static_cast<double>(i + 1) << "): " << counts_[i] << "\n";
-  }
   return os.str();
 }
 

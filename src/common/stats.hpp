@@ -1,10 +1,8 @@
-// Running statistics and simple fixed-bucket histograms for measurements.
+// Running statistics for measurements.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace uvs {
 
@@ -31,39 +29,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Fixed-width linear histogram over [lo, hi); out-of-range goes to the
-/// edge buckets and is counted, so a quantile saturating at a bound is
-/// distinguishable from one genuinely there. Used by benches to report
-/// load-balance distributions and by obs::Distribution for quantiles.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::uint64_t total() const { return total_; }
-  /// Observations below lo (clamped into the first bucket).
-  std::uint64_t underflow() const { return underflow_; }
-  /// Observations at or above hi (clamped into the last bucket).
-  std::uint64_t overflow() const { return overflow_; }
-
-  /// Smallest x such that at least `q` fraction of samples are <= x
-  /// (bucket-granular approximation; saturates at the bounds when samples
-  /// were clamped — check underflow()/overflow()).
-  double Quantile(double q) const;
-
-  std::string ToString() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
 };
 
 }  // namespace uvs

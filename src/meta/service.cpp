@@ -45,8 +45,6 @@ std::vector<MetadataRecord> DistributedMetadataService::Query(storage::FileId fi
   }
   std::sort(out.begin(), out.end(),
             [](const MetadataRecord& a, const MetadataRecord& b) { return a.offset < b.offset; });
-  obs::Count("meta.query.calls");
-  obs::Count("meta.query.records", out.size());
   return out;
 }
 

@@ -29,6 +29,8 @@ class DistributedMetadataService {
   std::vector<int> Insert(const MetadataRecord& record);
 
   /// All records overlapping [offset, offset+len), clipped, offset-sorted.
+  /// Uncounted, so audits may call it freely: the UniviStor read path
+  /// counts its own lookups (meta.query.calls/records).
   std::vector<MetadataRecord> Query(storage::FileId fid, Bytes offset, Bytes len) const;
 
   /// Query restricted to one partition (a client contacting one server).

@@ -1,6 +1,6 @@
 // Named metrics registry: counters (monotonic totals), gauges (last-set
 // values, snapshotted by the sampler), and distributions (RunningStats
-// moments plus an optional fixed-bucket Histogram for quantiles).
+// moments).
 //
 // Metric objects live as long as the registry; handles returned by the
 // Get* accessors stay valid, so hot paths can cache them. Iteration order
@@ -8,10 +8,8 @@
 // deterministic.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "src/common/stats.hpp"
@@ -38,23 +36,12 @@ class Gauge {
 
 class Distribution {
  public:
-  void Observe(double x) {
-    stats_.Add(x);
-    if (buckets_ != nullptr) buckets_->Add(x);
-  }
-
-  /// Enables bucket-granular quantiles over [lo, hi); no-op if already
-  /// attached (the first caller's bounds win).
-  void AttachBuckets(double lo, double hi, std::size_t buckets) {
-    if (buckets_ == nullptr) buckets_ = std::make_unique<Histogram>(lo, hi, buckets);
-  }
+  void Observe(double x) { stats_.Add(x); }
 
   const RunningStats& stats() const { return stats_; }
-  const Histogram* buckets() const { return buckets_.get(); }
 
  private:
   RunningStats stats_;
-  std::unique_ptr<Histogram> buckets_;
 };
 
 class MetricsRegistry {

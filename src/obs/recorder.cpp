@@ -208,18 +208,8 @@ std::string Recorder::MetricsJson(Time sim_elapsed, const std::string& attributi
     const RunningStats& s = dist.stats();
     os << "\n\"" << JsonEscape(name) << "\":{\"count\":" << s.count()
        << ",\"mean\":" << JsonNumber(s.mean()) << ",\"min\":" << JsonNumber(s.min())
-       << ",\"max\":" << JsonNumber(s.max()) << ",\"stddev\":" << JsonNumber(s.stddev());
-    if (const Histogram* h = dist.buckets()) {
-      os << ",\"p50\":" << JsonNumber(h->Quantile(0.5))
-         << ",\"p95\":" << JsonNumber(h->Quantile(0.95))
-         << ",\"p99\":" << JsonNumber(h->Quantile(0.99));
-      // Out-of-range observations are clamped into the edge buckets, so
-      // the quantiles above saturate at the histogram bounds; the counts
-      // make that saturation visible instead of silent.
-      if (h->underflow() != 0 || h->overflow() != 0)
-        os << ",\"underflow\":" << h->underflow() << ",\"overflow\":" << h->overflow();
-    }
-    os << "}";
+       << ",\"max\":" << JsonNumber(s.max()) << ",\"stddev\":" << JsonNumber(s.stddev())
+       << "}";
   }
   os << "\n},\n";
 

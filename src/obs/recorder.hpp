@@ -175,10 +175,6 @@ class Recorder {
     SpanTag tag;
   };
 
-  SpanRef AddSpan(const char* category, const char* name, Track track, Time start, Time end,
-                  Bytes bytes = kNoBytes) {
-    return AddSpanTagged(category, name, track, start, end, bytes, SpanTag{});
-  }
   SpanRef AddSpanTagged(const char* category, const char* name, Track track, Time start,
                         Time end, Bytes bytes, SpanTag tag) {
     if (FlightRecorder* fr = FlightRecorder::Current()) fr->Note(end, "span", name, end - start);
@@ -188,11 +184,6 @@ class Recorder {
     }
     spans_.push_back(SpanEvent{start, end, category, name, track, bytes, tag});
     return tag.self;
-  }
-  /// Zero-duration marker.
-  void AddInstant(const char* category, const char* name, Track track, Time at,
-                  Bytes bytes = kNoBytes) {
-    AddSpan(category, name, track, at, at, bytes);
   }
 
   /// Allocates a fresh span identity (for spans whose children need a

@@ -6,8 +6,14 @@
 
 namespace uvs::sched {
 
-NodeScheduler::NodeScheduler(sim::Engine& engine, hw::Node& node, Options options, Rng rng)
-    : engine_(&engine), node_(&node), options_(options), rng_(rng) {
+namespace {
+/// csw(k): efficiency of a core shared by >= 2 busy processes.
+constexpr double kContextSwitchPenalty = 0.85;
+}  // namespace
+
+NodeScheduler::NodeScheduler(sim::Engine& engine, hw::Node& node, PlacementPolicy policy,
+                             Rng rng)
+    : engine_(&engine), node_(&node), policy_(policy), rng_(rng) {
   core_procs_.resize(static_cast<std::size_t>(node.cores()));
 }
 
@@ -23,7 +29,7 @@ int NodeScheduler::AddProcess(int program, bool is_server) {
       *engine_, sim::FairSharePool::Options{
                     .name = "node" + std::to_string(node_->id()) + "/cpu" + std::to_string(id),
                     .capacity = proc.base_bw});
-  const int core = options_.policy == PlacementPolicy::kCfs
+  const int core = policy_ == PlacementPolicy::kCfs
                        ? PickCoreCfs()
                        : PickCoreInterferenceAware(program);
   procs_.push_back(std::move(proc));
@@ -106,7 +112,7 @@ void NodeScheduler::RecomputeCore(int core) {
   int busy = 0;
   for (int p : occupants)
     if (procs_[static_cast<std::size_t>(p)].busy) ++busy;
-  const double csw = busy > 1 ? options_.context_switch_penalty : 1.0;
+  const double csw = busy > 1 ? kContextSwitchPenalty : 1.0;
   const double busy_share = busy > 0 ? csw / static_cast<double>(busy) : 1.0;
   for (int p : occupants) {
     auto& proc = procs_[static_cast<std::size_t>(p)];
@@ -142,7 +148,7 @@ double NodeScheduler::CpuShare(int proc) const {
   const auto& p = procs_.at(static_cast<std::size_t>(proc));
   const int busy = BusyProcsOnCore(p.core);
   if (!p.busy || busy == 0) return 1.0;
-  const double csw = busy > 1 ? options_.context_switch_penalty : 1.0;
+  const double csw = busy > 1 ? kContextSwitchPenalty : 1.0;
   return csw / static_cast<double>(busy);
 }
 
@@ -157,7 +163,7 @@ sim::FairSharePool& NodeScheduler::dram(int proc) {
 void NodeScheduler::BeginServerFlush() {
   if (flush_in_progress_) return;
   flush_in_progress_ = true;
-  if (options_.policy != PlacementPolicy::kInterferenceAware) return;
+  if (policy_ != PlacementPolicy::kInterferenceAware) return;
   // Cores that host at least one server.
   std::vector<bool> server_core(static_cast<std::size_t>(node_->cores()), false);
   for (const auto& proc : procs_)
@@ -187,7 +193,7 @@ void NodeScheduler::BeginServerFlush() {
 void NodeScheduler::EndServerFlush() {
   if (!flush_in_progress_) return;
   flush_in_progress_ = false;
-  if (options_.policy != PlacementPolicy::kInterferenceAware) return;
+  if (policy_ != PlacementPolicy::kInterferenceAware) return;
   for (auto& proc : procs_) {
     if (!proc.server && proc.core != proc.home_core) Assign(proc, proc.home_core);
   }

@@ -34,13 +34,7 @@ enum class PlacementPolicy { kCfs, kInterferenceAware };
 
 class NodeScheduler {
  public:
-  struct Options {
-    PlacementPolicy policy = PlacementPolicy::kInterferenceAware;
-    /// Efficiency of a core shared by >= 2 busy processes.
-    double context_switch_penalty = 0.85;
-  };
-
-  NodeScheduler(sim::Engine& engine, hw::Node& node, Options options, Rng rng);
+  NodeScheduler(sim::Engine& engine, hw::Node& node, PlacementPolicy policy, Rng rng);
 
   /// Registers a process of `program` (servers use is_server = true) and
   /// returns its process id on this node. Processes start busy.
@@ -97,7 +91,7 @@ class NodeScheduler {
 
   sim::Engine* engine_;
   hw::Node* node_;
-  Options options_;
+  PlacementPolicy policy_;
   Rng rng_;
   std::vector<Proc> procs_;
   std::vector<std::vector<int>> core_procs_;  // core -> proc ids

@@ -20,9 +20,7 @@ FairSharePool::FairSharePool(Engine& engine, Options options)
 
 Bandwidth FairSharePool::RatePerFlow(std::size_t n) const {
   if (n == 0) return 0.0;
-  const double eff = options_.efficiency ? options_.efficiency(n) : 1.0;
-  assert(eff > 0.0 && eff <= 1.0 + 1e-9);
-  return std::min(options_.per_flow_cap, eff * options_.capacity / static_cast<double>(n));
+  return options_.capacity / static_cast<double>(n);
 }
 
 void FairSharePool::AdvanceToNow() {
@@ -49,13 +47,6 @@ void FairSharePool::SetCapacity(Bandwidth capacity) {
   AdvanceToNow();
   options_.capacity = capacity;
   peak_capacity_ = std::max(peak_capacity_, capacity);
-  RescheduleTimer();
-}
-
-void FairSharePool::SetPerFlowCap(Bandwidth cap) {
-  assert(cap > 0);
-  AdvanceToNow();
-  options_.per_flow_cap = cap;
   RescheduleTimer();
 }
 

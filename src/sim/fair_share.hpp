@@ -2,10 +2,7 @@
 // link performance model.
 //
 // All active transfers share the pool's capacity equally: with n flows each
-// progresses at `min(per_flow_cap, efficiency(n) * capacity / n)` bytes/s.
-// The `efficiency(n)` hook expresses contention that degrades aggregate
-// throughput as concurrency grows (e.g. extent-lock conflicts on a Lustre
-// OST when many writers share one file).
+// progresses at `capacity / n` bytes/s.
 //
 // Implementation: exact virtual-time processor sharing. Virtual work V(t)
 // advances at the common per-flow rate; a flow entering with b bytes
@@ -16,8 +13,6 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <queue>
 #include <string>
 #include <vector>
@@ -33,11 +28,6 @@ class FairSharePool {
     std::string name = "pool";
     /// Aggregate capacity in bytes/s; must be > 0.
     Bandwidth capacity = 1.0_GBps;
-    /// Upper bound on any single flow's rate (e.g. one client's link).
-    Bandwidth per_flow_cap = std::numeric_limits<Bandwidth>::infinity();
-    /// Aggregate efficiency in (0, 1] as a function of flow count;
-    /// identity (always 1.0) when empty.
-    std::function<double(std::size_t)> efficiency;
   };
 
   FairSharePool(Engine& engine, Options options);
@@ -74,7 +64,6 @@ class FairSharePool {
   /// Changes aggregate capacity from the current instant onward (used when
   /// CPU shares are re-assigned, e.g. flush-time core migration).
   void SetCapacity(Bandwidth capacity);
-  void SetPerFlowCap(Bandwidth cap);
 
   Bandwidth capacity() const { return options_.capacity; }
   /// Highest capacity this pool has ever had (capacity changes over time

@@ -1,7 +1,6 @@
 #include "src/storage/pfs.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "src/common/log.hpp"
@@ -10,10 +9,16 @@
 
 namespace uvs::storage {
 
-Pfs::Pfs(hw::Cluster& cluster) : Pfs(cluster, Options{}) {}
+namespace {
+/// Max concurrent device streams one access fans out to.
+constexpr std::uint64_t kMaxStreamsPerAccess = 16;
+/// Extent-lock inflation multiplier for partial-stripe RMW writes on
+/// erasure-coded files: the read-modify-write cycle holds the stripe's
+/// lock across two device round trips instead of one.
+constexpr double kRmwLockPenalty = 1.75;
+}  // namespace
 
-Pfs::Pfs(hw::Cluster& cluster, Options options) : cluster_(&cluster), options_(options) {
-  assert(options_.max_streams_per_access > 0);
+Pfs::Pfs(hw::Cluster& cluster) : cluster_(&cluster) {
   ost_failed_.assign(static_cast<std::size_t>(cluster_->pfs().count()), false);
 }
 
@@ -89,8 +94,7 @@ Pfs::StreamPlan Pfs::PlanStreams(const FileInfo& info, Bytes offset, Bytes len,
   const auto pieces = static_cast<std::uint64_t>((offset + len + stripe_size - 1) / stripe_size -
                                                  offset / stripe_size);
   const std::uint64_t streams =
-      std::min<std::uint64_t>({pieces, targets.size(),
-                               static_cast<std::uint64_t>(options_.max_streams_per_access)});
+      std::min<std::uint64_t>({pieces, targets.size(), kMaxStreamsPerAccess});
 
   StreamPlan plan;
   plan.sync_targets = static_cast<int>(std::min<std::uint64_t>(pieces, targets.size()));
@@ -368,8 +372,7 @@ Pfs::EcPlan Pfs::PlanEcWrite(FileHandle file, FileInfo& info, Bytes offset, Byte
   return plan;
 }
 
-Pfs::EcPlan Pfs::PlanEcRead(FileHandle file, FileInfo& info, Bytes offset, Bytes len,
-                            const AccessOptions& options) {
+Pfs::EcPlan Pfs::PlanEcRead(FileHandle file, FileInfo& info, Bytes offset, Bytes len) {
   EcPlan plan;
   const int k = info.ec_layout.data_shards;
   const int m = info.ec_layout.parity_shards;
@@ -421,7 +424,7 @@ Pfs::EcPlan Pfs::PlanEcRead(FileHandle file, FileInfo& info, Bytes offset, Bytes
     int alive = 0;
     for (int sh = 0; sh < k + m; ++sh)
       if (!ost_failed_[static_cast<std::size_t>(st.home[static_cast<std::size_t>(sh)])]) ++alive;
-    if (alive >= k && options.degraded_reads) {
+    if (alive >= k) {
       // Degraded read: any k surviving shards reconstruct the stripe; the
       // traffic beyond the requested bytes is the reconstruction cost.
       ++ec_stats_.degraded_reads;
@@ -438,8 +441,8 @@ Pfs::EcPlan Pfs::PlanEcRead(FileHandle file, FileInfo& info, Bytes offset, Bytes
       ec_stats_.degraded_read_bytes += extra;
       obs::Count("storage.pfs.ec.degraded_read_bytes", extra);
     } else {
-      // Fewer than k shards survive (or reconstruction disabled): serve what
-      // lives; written bytes on dead shards are lost only past redundancy.
+      // Fewer than k shards survive: serve what lives; written bytes on
+      // dead shards are lost only past redundancy.
       for (int j = 0; j < k; ++j) {
         const Bytes b = piece[static_cast<std::size_t>(j)];
         if (b == 0) continue;
@@ -501,7 +504,7 @@ sim::Task Pfs::EcAccess(FileHandle file, Bytes offset, Bytes len, int node,
   const Time sync = cluster_->params().pfs.per_ost_sync_overhead;
 
   if (read) {
-    EcPlan plan = PlanEcRead(file, info, offset, len, options);
+    EcPlan plan = PlanEcRead(file, info, offset, len);
     co_await engine.Delay(sync * static_cast<double>(plan.read.sync_targets));
     std::vector<sim::Task> legs;
     legs.reserve(plan.read.streams.size() + 1);
@@ -519,7 +522,7 @@ sim::Task Pfs::EcAccess(FileHandle file, Bytes offset, Bytes len, int node,
     // file's stripe lock at an inflated extent-lock footprint — the second
     // OST round trip is the partial-write tax the paper's full-stripe
     // flushes avoid.
-    inflation *= options_.rmw_lock_penalty;
+    inflation *= kRmwLockPenalty;
     ec_stats_.rmw_read_bytes += plan.read.bytes;
     obs::Count("storage.pfs.ec.rmw_read_bytes", plan.read.bytes);
     auto guard = co_await info.rmw_mutex->Lock();
@@ -554,7 +557,6 @@ void Pfs::FailOst(int ost) {
     return;
   ost_failed_[static_cast<std::size_t>(ost)] = true;
   ++failed_osts_;
-  peak_failed_osts_ = std::max(peak_failed_osts_, failed_osts_);
   obs::Count("storage.pfs.ec.ost_failures");
   for (const auto& file : files_) {
     if (file->stripe.parity_shards <= 0) continue;
@@ -566,10 +568,6 @@ bool Pfs::OstFailed(int ost) const {
   return ost >= 0 && ost < static_cast<int>(ost_failed_.size()) &&
          ost_failed_[static_cast<std::size_t>(ost)];
 }
-
-int Pfs::failed_ost_count() const { return failed_osts_; }
-
-int Pfs::peak_failed_osts() const { return peak_failed_osts_; }
 
 bool Pfs::InjectLatentError(int ost) {
   if (ost < 0 || ost >= static_cast<int>(ost_failed_.size())) return false;
@@ -588,16 +586,6 @@ bool Pfs::InjectLatentError(int ost) {
     }
   }
   return false;
-}
-
-int Pfs::MinParityShards() const {
-  int min_m = -1;
-  for (const auto& file : files_) {
-    const int m = file->stripe.parity_shards;
-    if (m <= 0) continue;
-    min_m = min_m < 0 ? m : std::min(min_m, m);
-  }
-  return min_m;
 }
 
 sim::Task Pfs::RebuildOst(int ost) {

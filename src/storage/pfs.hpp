@@ -72,17 +72,7 @@ class Pfs {
  public:
   using FileHandle = int;
 
-  struct Options {
-    /// Max concurrent device streams one access fans out to.
-    int max_streams_per_access = 16;
-    /// Extent-lock inflation multiplier for partial-stripe RMW writes on
-    /// erasure-coded files: the read-modify-write cycle holds the stripe's
-    /// lock across two device round trips instead of one.
-    double rmw_lock_penalty = 1.75;
-  };
-
   explicit Pfs(hw::Cluster& cluster);
-  Pfs(hw::Cluster& cluster, Options options);
 
   FileHandle Create(std::string name, StripeConfig stripe);
   Result<FileHandle> Lookup(const std::string& name) const;
@@ -97,10 +87,6 @@ class Pfs {
     std::vector<int> target_osts;
     /// false = requests randomly directed within the target set.
     bool coordinated = true;
-    /// Erasure-coded files only: serve reads whose shard OST failed by
-    /// reconstructing from k surviving shards (extra device traffic). Off,
-    /// reads skip reconstruction and just serve the surviving shards.
-    bool degraded_reads = true;
     /// Causal parent of this access's spans (obs::attribution DAG).
     obs::SpanRef parent;
   };
@@ -164,8 +150,6 @@ class Pfs {
   /// not tracked (they have no redundancy model to account against).
   void FailOst(int ost);
   bool OstFailed(int ost) const;
-  int failed_ost_count() const;
-  int peak_failed_osts() const;
   /// True once any stripe ever had more than its m shards dead or
   /// latent-corrupt at once — the moment lost bytes become legitimate.
   bool ec_redundancy_exceeded() const { return ec_redundancy_exceeded_; }
@@ -197,8 +181,6 @@ class Pfs {
 
   const EcStats& ec_stats() const { return ec_stats_; }
   Bytes ec_lost_bytes() const { return ec_stats_.lost_bytes; }
-  /// Smallest parity count among erasure-coded files; -1 when none exist.
-  int MinParityShards() const;
 
  private:
   /// Per-stripe shard bookkeeping for erasure-coded files. `version` is
@@ -268,8 +250,7 @@ class Pfs {
 
   EcStripe& MaterializeStripe(FileInfo& info, std::uint64_t stripe);
   EcPlan PlanEcWrite(FileHandle file, FileInfo& info, Bytes offset, Bytes len);
-  EcPlan PlanEcRead(FileHandle file, FileInfo& info, Bytes offset, Bytes len,
-                    const AccessOptions& options);
+  EcPlan PlanEcRead(FileHandle file, FileInfo& info, Bytes offset, Bytes len);
   static void ApplyEcOps(const std::vector<EcApplyOp>& ops);
   /// Marks redundancy exceeded if `stripe` has more than m shards dead or
   /// latent; returns the number of intact shards.
@@ -279,14 +260,12 @@ class Pfs {
   EcScrubReport ScrubSweep(bool repair);
 
   hw::Cluster* cluster_;
-  Options options_;
   // unique_ptr for address stability: Access() coroutines hold references
   // across suspension points while new files (e.g. spill logs) are created.
   std::vector<std::unique_ptr<FileInfo>> files_;
 
   std::vector<bool> ost_failed_;
   int failed_osts_ = 0;
-  int peak_failed_osts_ = 0;
   bool ec_redundancy_exceeded_ = false;
   EcStats ec_stats_;
   /// (file, stripe, shard) keys already counted into lost_bytes.

@@ -37,8 +37,6 @@ struct BatchOptions {
   /// Shared wall-clock budget in seconds for the whole sweep (0 =
   /// unlimited). Honored across workers as one deadline.
   double time_budget = 0.0;
-  /// Stop dispatching seeds beyond the first (lowest) failing one.
-  bool stop_on_failure = true;
 };
 
 /// One seed's outcome within a batch.
@@ -46,7 +44,8 @@ struct SeedRun {
   std::uint64_t seed = 0;
   ScenarioSpec spec;
   /// False when the run never happened: the shared deadline expired first,
-  /// or a lower seed had already failed (stop_on_failure).
+  /// or a lower seed had already failed (seeds beyond the first failing
+  /// one are not dispatched).
   bool ran = false;
   bool ok = false;
   InvariantReport report;

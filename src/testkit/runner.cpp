@@ -66,10 +66,6 @@ univistor::Config BuildConfig(const ScenarioSpec& spec) {
   return config;
 }
 
-/// Sim seconds the scrub paces between stripes (fault-plan and final
-/// passes alike).
-Time ScrubInterval() { return univistor::Config::EcConfig{}.scrub_stripe_interval; }
-
 /// Fails the spec'd node at the spec'd point and records the exact
 /// expected data loss for the read phase that follows.
 void InjectFailure(const ScenarioSpec& spec, workload::Scenario& scenario,
@@ -248,7 +244,7 @@ std::vector<cluster::JobSpec> BuildJobMix(const ScenarioSpec& spec) {
 /// instances contending through it. Cluster-level invariants (starvation
 /// horizon, BB reservation conservation, per-job lost-byte accounting)
 /// ride on top of the per-system checks.
-RunOutcome RunClusterScenario(const ScenarioSpec& spec, const RunOptions& options) {
+RunOutcome RunClusterScenario(const ScenarioSpec& spec) {
   RunOutcome outcome;
   outcome.spec = spec;
   try {
@@ -275,12 +271,14 @@ RunOutcome RunClusterScenario(const ScenarioSpec& spec, const RunOptions& option
       }
       injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
       sim.AttachInjector(*injector);
-      if (spec.ec_k > 0) workload::WireEcFaults(*injector, scenario, spec.recovery, ScrubInterval());
+      if (spec.ec_k > 0)
+        workload::WireEcFaults(*injector, scenario, spec.recovery, workload::kScrubStripeInterval);
       injector->Arm();
     }
 
     sim.Run();
-    if (spec.ec_k > 0 && spec.scrub) workload::RunFinalScrub(scenario, ScrubInterval());
+    if (spec.ec_k > 0 && spec.scrub)
+      workload::RunFinalScrub(scenario, workload::kScrubStripeInterval);
     outcome.sim_time = scenario.engine().Now();
     const bool fault_plan = spec.failure == FailureMode::kPlan;
     for (int j = 0; j < sim.job_count(); ++j) {
@@ -293,8 +291,7 @@ RunOutcome RunClusterScenario(const ScenarioSpec& spec, const RunOptions& option
         }
       }
     }
-    if (options.check_invariants)
-      CheckClusterRun(scenario, sim, spec.ec_k > 0, fault_plan, outcome.report);
+    CheckClusterRun(scenario, sim, spec.ec_k > 0, fault_plan, outcome.report);
   } catch (const std::exception& e) {
     outcome.report.Add("exception", e.what());
   } catch (...) {
@@ -329,21 +326,21 @@ RunOutcome RunSingleScenario(const ScenarioSpec& spec, const RunOptions& options
       }
       injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
       sut.AttachInjector(*injector, scenario);
-      if (spec.ec_k > 0) workload::WireEcFaults(*injector, scenario, spec.recovery, ScrubInterval());
+      if (spec.ec_k > 0)
+        workload::WireEcFaults(*injector, scenario, spec.recovery, workload::kScrubStripeInterval);
       injector->Arm();
     }
 
     const auto names = RunWorkload(spec, scenario, sut, outcome);
     scenario.engine().Run();  // final drain (asynchronous flushes)
-    if (spec.ec_k > 0 && spec.scrub) workload::RunFinalScrub(scenario, ScrubInterval());
+    if (spec.ec_k > 0 && spec.scrub)
+      workload::RunFinalScrub(scenario, workload::kScrubStripeInterval);
     outcome.sim_time = scenario.engine().Now();
     CollectFileSizes(names, sut, scenario, outcome);
     if (system != nullptr) outcome.lost_bytes = system->lost_bytes();
     if (fault_plan) outcome.expected_lost_bytes = ExpectedLostBytes(*system, scenario.runtime());
-    if (options.check_invariants) {
-      CheckSingleRun(scenario, system, spec.ec_k > 0, spec.failure == FailureMode::kPlan,
-                     outcome.expected_lost_bytes, outcome.report);
-    }
+    CheckSingleRun(scenario, system, spec.ec_k > 0, spec.failure == FailureMode::kPlan,
+                   outcome.expected_lost_bytes, outcome.report);
     if (options.differential && spec.system == SystemKind::kUniviStor &&
         spec.failure == FailureMode::kNone) {
       RunDifferential(spec, outcome);
@@ -361,7 +358,7 @@ RunOutcome RunSingleScenario(const ScenarioSpec& spec, const RunOptions& options
 RunOutcome RunScenario(const ScenarioSpec& spec, const RunOptions& options) {
   obs::Recorder* recorder = obs::Recorder::Current();
   const std::uint64_t dropped_before = recorder != nullptr ? recorder->spans_dropped() : 0;
-  RunOutcome outcome = spec.jobs > 1 ? RunClusterScenario(spec, options)
+  RunOutcome outcome = spec.jobs > 1 ? RunClusterScenario(spec)
                                      : RunSingleScenario(spec, options);
   if (recorder != nullptr)
     outcome.spans_dropped = recorder->spans_dropped() - dropped_before;

@@ -13,6 +13,12 @@
 
 namespace uvs::univistor {
 
+namespace {
+/// HDF5-level metadata requests per open/close; each rank pays them
+/// without COC, only the root with COC.
+constexpr int kMdOpsPerOpen = 4;
+}  // namespace
+
 UniviStor::UniviStor(vmpi::Runtime& runtime, storage::Pfs& pfs,
                      workflow::WorkflowManager& workflow, Config config)
     : runtime_(&runtime), pfs_(&pfs), workflow_(&workflow), config_(config) {
@@ -201,9 +207,9 @@ sim::Task UniviStor::OpenMetadata(vmpi::ProgramId program, int rank, storage::Fi
   const obs::Track track = obs::Track::Rank(node, program, rank);
   if (config_.collective_open_close) {
     // Root-only metadata operation; the driver broadcasts the result.
-    if (rank == 0) co_await MetadataRpc(node, server, config_.md_ops_per_open, track, parent);
+    if (rank == 0) co_await MetadataRpc(node, server, kMdOpsPerOpen, track, parent);
   } else {
-    co_await MetadataRpc(node, server, config_.md_ops_per_open, track, parent);
+    co_await MetadataRpc(node, server, kMdOpsPerOpen, track, parent);
   }
 }
 
@@ -469,11 +475,7 @@ sim::Task UniviStor::RecoverNodeTask(int node) {
 }
 
 sim::Task UniviStor::AwaitTransferClearance() {
-  const fault::BackoffPolicy policy{.max_retries = config_.recovery.max_transfer_retries,
-                                    .initial = config_.recovery.retry_initial_backoff,
-                                    .factor = config_.recovery.retry_backoff_factor,
-                                    .max = config_.recovery.retry_max_backoff,
-                                    .jitter = config_.recovery.retry_jitter};
+  const fault::BackoffPolicy policy{};
   int attempt = 0;
   while (faults_->TransferFaultActive() && attempt < policy.max_retries) {
     const Time delay = fault::BackoffDelay(policy, attempt, retry_rng_);
@@ -697,6 +699,8 @@ sim::Task UniviStor::Read(vmpi::ProgramId program, int rank, storage::FileId fid
     for (int server : metadata_->partitioner().ServersFor(piece_offset, piece_len))
       co_await MetadataRpc(node, server, 1, track, parent);
     auto records = metadata_->Query(fid, piece_offset, piece_len);
+    obs::Count("meta.query.calls");
+    obs::Count("meta.query.records", records.size());
     to_read.insert(to_read.end(), records.begin(), records.end());
   }
 

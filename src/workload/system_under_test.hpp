@@ -62,6 +62,10 @@ SystemUnderTest BuildSystem(SystemKind kind, Scenario& scenario,
 void WireEcFaults(fault::Injector& injector, Scenario& scenario, bool recover,
                   Time scrub_interval);
 
+/// Sim seconds a scrub pass paces between stripes (fault-plan and final
+/// passes alike), unless `uvsim --scrub=S` overrides it.
+inline constexpr Time kScrubStripeInterval = 0.0001;
+
 /// One full parity scrub pass after the workload drained, run to
 /// completion.
 void RunFinalScrub(Scenario& scenario, Time interval);

@@ -127,54 +127,6 @@ TEST(RunningStats, VarianceNeedsTwoSamples) {
   EXPECT_NEAR(s.stddev(), std::sqrt(2.0), 1e-12);
 }
 
-TEST(Histogram, BucketsAndQuantile) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.Add(static_cast<double>(i) + 0.5);
-  EXPECT_EQ(h.total(), 10u);
-  EXPECT_NEAR(h.Quantile(0.5), 5.0, 1.01);
-  EXPECT_NEAR(h.Quantile(1.0), 10.0, 1e-9);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0.0, 1.0, 4);
-  h.Add(-5.0);
-  h.Add(99.0);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(3), 1u);
-  // Clamped samples are counted, not silently folded into the edges.
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  h.Add(0.5);  // in range: neither counter moves
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, EmptyQuantileIsLowerBound) {
-  Histogram h(2.0, 10.0, 8);
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 2.0);
-}
-
-TEST(Histogram, QuantileExtremes) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.Add(static_cast<double>(i) + 0.5);
-  // q=0 targets zero mass, satisfied by the first bucket's upper edge.
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 10.0);
-}
-
-TEST(Histogram, QuantileOfClampedSamplesStaysInRange) {
-  Histogram h(0.0, 1.0, 4);
-  for (int i = 0; i < 8; ++i) h.Add(-100.0);  // all land in the first bucket
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.25);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 0.25);
-  for (int i = 0; i < 8; ++i) h.Add(100.0);  // and the last
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 1.0);
-}
-
 TEST(Strings, HumanBytes) {
   EXPECT_EQ(HumanBytes(512), "512 B");
   EXPECT_EQ(HumanBytes(2_MiB), "2.0 MiB");

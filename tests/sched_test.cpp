@@ -16,10 +16,7 @@ struct Fixture {
   hw::Node node{engine, 0, hw::NodeParams{}};
 
   NodeScheduler Make(PlacementPolicy policy) {
-    return NodeScheduler(engine, node,
-                         NodeScheduler::Options{.policy = policy,
-                                                .context_switch_penalty = 0.85},
-                         Rng(42));
+    return NodeScheduler(engine, node, policy, Rng(42));
   }
 };
 

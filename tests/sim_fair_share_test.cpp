@@ -73,38 +73,6 @@ TEST(FairShare, LateArrivalSlowsExistingFlow) {
   EXPECT_NEAR(a, 8.0, 1e-6);
 }
 
-TEST(FairShare, PerFlowCapLimitsLoneFlow) {
-  Engine engine;
-  FairSharePool pool(engine, {.capacity = 100.0, .per_flow_cap = 25.0});
-  double done = -1;
-  engine.Spawn(DoTransfer(engine, pool, 100, &done));
-  engine.Run();
-  EXPECT_NEAR(done, 4.0, 1e-6);
-}
-
-TEST(FairShare, PerFlowCapIrrelevantWhenShareIsSmaller) {
-  Engine engine;
-  FairSharePool pool(engine, {.capacity = 100.0, .per_flow_cap = 60.0});
-  double a = -1, b = -1;
-  engine.Spawn(DoTransfer(engine, pool, 500, &a));
-  engine.Spawn(DoTransfer(engine, pool, 500, &b));
-  engine.Run();
-  EXPECT_NEAR(a, 10.0, 1e-6);  // share is 50 < cap 60
-}
-
-TEST(FairShare, EfficiencyHookDegradesAggregate) {
-  Engine engine;
-  FairSharePool pool(engine, {.capacity = 100.0,
-                              .efficiency = [](std::size_t n) { return n > 1 ? 0.5 : 1.0; }});
-  double a = -1, b = -1;
-  engine.Spawn(DoTransfer(engine, pool, 250, &a));
-  engine.Spawn(DoTransfer(engine, pool, 250, &b));
-  engine.Run();
-  // Two flows: aggregate 50 B/s, 25 B/s each => 10 s.
-  EXPECT_NEAR(a, 10.0, 1e-6);
-  EXPECT_NEAR(b, 10.0, 1e-6);
-}
-
 TEST(FairShare, ZeroByteTransferCompletesImmediately) {
   Engine engine;
   FairSharePool pool(engine, {.capacity = 100.0});

@@ -55,35 +55,6 @@ TEST_P(FairShareFuzz, WorkConservationUnderRandomArrivals) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FairShareFuzz, ::testing::Values(11, 22, 33, 44, 55));
 
-TEST(FairShareDynamic, EfficiencyChangesWithPopulation) {
-  // eff(n) = 1/n makes aggregate throughput constant-per-flow: n flows of
-  // b bytes then take exactly n*b/ (C/n) ... i.e. slower than ideal; the
-  // pool must still complete everything exactly once.
-  Engine engine;
-  FairSharePool pool(engine, {.capacity = 1000.0,
-                              .efficiency = [](std::size_t n) {
-                                return 1.0 / static_cast<double>(n);
-                              }});
-  std::vector<double> done(4, -1);
-  for (int i = 0; i < 4; ++i)
-    engine.Spawn(TransferAt(engine, pool, 0.0, 1000, &done[static_cast<std::size_t>(i)]));
-  engine.Run();
-  // 4 flows, aggregate 1000/4: each gets 62.5 B/s until the population
-  // drops; all equal-size flows finish together at t = 4000/250 = 16.
-  for (double d : done) EXPECT_NEAR(d, 16.0, 1e-6);
-}
-
-TEST(FairShareDynamic, PerFlowCapChangeMidFlight) {
-  Engine engine;
-  FairSharePool pool(engine, {.capacity = 1000.0, .per_flow_cap = 100.0});
-  double done = -1;
-  engine.Spawn(TransferAt(engine, pool, 0.0, 1000, &done));
-  engine.Schedule(5.0, [&] { pool.SetPerFlowCap(500.0); });
-  engine.Run();
-  // 500 bytes in the first 5 s (cap 100), remaining 500 at cap 500 => 1 s.
-  EXPECT_NEAR(done, 6.0, 1e-6);
-}
-
 TEST(FairShareDynamic, ConservationUnderRandomCapacityChurn) {
   // The pool must deliver every byte exactly once no matter how often the
   // aggregate capacity is retuned mid-flight (the recovery paths do this

@@ -235,21 +235,6 @@ TEST(PfsEc, DegradedReadsReconstructWhileFailuresStayWithinBudget) {
   EXPECT_GT(pfs.ec_lost_bytes(), 0u);
 }
 
-TEST(PfsEc, DegradedReadsOffServesSurvivorsWithoutReconstruction) {
-  sim::Engine engine;
-  hw::Cluster cluster(engine, EcParams());
-  Pfs pfs(cluster);
-  const auto f = pfs.Create("a", EcStripeConfig());
-  engine.Spawn(DoWrite(pfs, f, 0, 4 * kShard));
-  engine.Run();
-  pfs.FailOst(0);
-  engine.Spawn(DoRead(pfs, f, 0, 4 * kShard,
-                      {.layout = AccessLayout::kFilePerProcess, .degraded_reads = false}));
-  engine.Run();
-  EXPECT_EQ(pfs.ec_stats().degraded_read_bytes, 0u);
-  EXPECT_EQ(pfs.ec_lost_bytes(), 0u);  // within budget: nothing is lost
-}
-
 TEST(PfsEc, RebuildRelocatesShardsAndRestoresRedundancy) {
   sim::Engine engine;
   hw::Cluster cluster(engine, EcParams());

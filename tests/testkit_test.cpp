@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
+#include "src/obs/recorder.hpp"
 #include "src/testkit/invariants.hpp"
 #include "src/testkit/runner.hpp"
 #include "src/testkit/scenario_spec.hpp"
 #include "src/testkit/shrink.hpp"
+#include "src/workload/hdf_micro.hpp"
+#include "src/workload/system_under_test.hpp"
 
 namespace uvs::testkit {
 namespace {
@@ -170,6 +175,40 @@ TEST(InvariantsTest, QuiescenceDetectsStrandedProcess) {
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.violations[0].invariant, "quiescence");
   EXPECT_NE(report.violations[0].detail.find("stuck-proc"), std::string::npos);
+}
+
+std::map<std::string, std::uint64_t> Counters(const obs::Recorder& recorder) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, counter] : recorder.metrics().counters()) out[name] = counter.value();
+  return out;
+}
+
+TEST(InvariantsTest, CheckSingleRunLeavesEveryCounterUnchanged) {
+  // The audit's own metadata lookups must not count as the run's: a run
+  // reports the same metrics with or without `uvsim --check`.
+  obs::Recorder recorder;
+  recorder.Install();
+  workload::Scenario scenario({.procs = 8});
+  // Without location-aware reads every read-back resolves through the
+  // distributed metadata service.
+  const univistor::Config config{.location_aware_reads = false};
+  workload::SystemUnderTest sut = workload::BuildSystem(SystemKind::kUniviStor, scenario, config);
+  const auto app = scenario.runtime().LaunchProgram("app", 8);
+  workload::MicroParams params{.bytes_per_proc = 1_MiB};
+  workload::RunHdfMicro(scenario, app, sut.driver(), params);
+  params.read = true;
+  workload::RunHdfMicro(scenario, app, sut.driver(), params);
+  scenario.engine().Run();
+
+  const auto before = Counters(recorder);
+  ASSERT_GT(before.count("meta.query.calls"), 0u) << "the read path counts its lookups";
+  InvariantReport report;
+  const Bytes expected_lost = ExpectedLostBytes(*sut.univistor(), scenario.runtime());
+  CheckSingleRun(scenario, sut.univistor(), /*erasure=*/false, /*fault_plan=*/false,
+                 expected_lost, report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(Counters(recorder), before);
+  recorder.Uninstall();
 }
 
 TEST(InvariantsTest, ReportFormatsViolations) {

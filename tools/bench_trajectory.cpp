@@ -5,14 +5,8 @@
 // different labels builds up a before/after trajectory of simulator
 // performance; docs/PERFORMANCE.md documents the schema and workflow.
 //
-// Usage:
+// Usage (`bench_trajectory --help` lists every flag):
 //   bench_trajectory [--smoke] [--label NAME] [--out PATH] [-j N]
-//
-//   --smoke   smaller event counts / payloads (CI-friendly, seconds)
-//   --label   entry label (default "run")
-//   --out     output JSON path (default BENCH_sim.json in the CWD)
-//   -j N      workers for the parallel-runner metrics (0 = all hardware
-//             threads; default 0)
 //
 // Besides the kernel microbenchmarks and figure smokes, the entry carries
 // parallel-runner metrics: the same fuzz seed sweep and cluster
@@ -26,7 +20,6 @@
 // from older commits); the timer_cancel metric is then omitted.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <sstream>
@@ -44,6 +37,7 @@
 #include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
 #include "src/workload/vpic.hpp"
+#include "tools/flag_table.hpp"
 
 using namespace uvs;
 using namespace uvs::sim;
@@ -272,39 +266,35 @@ bool AppendEntry(const std::string& path, const std::string& entry) {
   return static_cast<bool>(out);
 }
 
+struct Args {
+  bool smoke = false;
+  std::string label = "run";
+  std::string out = "BENCH_sim.json";
+  int jobs = 0;  // parallel-runner workers; 0 = all hardware threads
+};
+
+constexpr flags::Flag<Args> kFlags[] = {
+    {"--smoke", "", flags::SetSwitch<&Args::smoke>,
+     "smaller event counts / payloads (CI-friendly,\nseconds)"},
+    {"--label", "=NAME", flags::SetText<&Args::label>, "entry label (default \"run\")"},
+    {"--out", "=PATH", flags::SetText<&Args::out>,
+     "output JSON path (default BENCH_sim.json in\nthe CWD)"},
+    {"--jobs", "=N", flags::SetInt<&Args::jobs, 0>,
+     "workers for the parallel-runner metrics\n(0 = all hardware threads; default 0)", "-j"},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string label = "run";
-  std::string out_path = "BENCH_sim.json";
-  int jobs = 0;  // parallel-runner workers; 0 = all hardware threads
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
-      label = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if ((std::strcmp(argv[i], "-j") == 0 || std::strcmp(argv[i], "--jobs") == 0) &&
-               i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "-j", 2) == 0 && argv[i][2] != '\0') {
-      jobs = std::atoi(argv[i] + 2);
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--label NAME] [--out PATH] [-j N]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  const int workers = jobs > 0 ? jobs : sim::WorkerPool::HardwareThreads();
+  const Args args = flags::Parse(argc, argv, "bench_trajectory", kFlags);
+  const int workers = args.jobs > 0 ? args.jobs : sim::WorkerPool::HardwareThreads();
 
-  const long chain_events = smoke ? 400000 : 2000000;
-  const int sj_rounds = smoke ? 5 : 30;
-  const int fs_rounds = smoke ? 20 : 100;
-  const Bytes fig5a_bytes = smoke ? 16_MiB : 256_MiB;
-  const int vpic_steps = smoke ? 2 : 10;
-  const Bytes vpic_var_bytes = smoke ? 4_MiB : 32_MiB;
+  const long chain_events = args.smoke ? 400000 : 2000000;
+  const int sj_rounds = args.smoke ? 5 : 30;
+  const int fs_rounds = args.smoke ? 20 : 100;
+  const Bytes fig5a_bytes = args.smoke ? 16_MiB : 256_MiB;
+  const int vpic_steps = args.smoke ? 2 : 10;
+  const Bytes vpic_var_bytes = args.smoke ? 4_MiB : 32_MiB;
 
   std::vector<Metric> metrics;
   const auto add = [&](const char* name, double value) {
@@ -318,7 +308,7 @@ int main(int argc, char** argv) {
   add("fair_share_staggered_flows_per_sec", FairShareFlowsPerSec(1024, fs_rounds));
 #ifndef UVS_BENCH_NO_CANCEL
   add("timer_cancel_ops_per_sec",
-      TimerCancelOpsPerSec(4096, smoke ? 400000 : 2000000));
+      TimerCancelOpsPerSec(4096, args.smoke ? 400000 : 2000000));
 #endif
   for (int procs : {64, 256}) {
     char name[64];
@@ -329,12 +319,12 @@ int main(int argc, char** argv) {
   }
   // Extreme-scale smoke: 8192 ranks with a small per-rank payload, so the
   // cost is event-scheduling volume rather than simulated bytes.
-  add("fig5a_ia_smoke_wall_sec_p8192", Fig5aSmokeWallSec(8192, smoke ? 1_MiB : 4_MiB));
+  add("fig5a_ia_smoke_wall_sec_p8192", Fig5aSmokeWallSec(8192, args.smoke ? 1_MiB : 4_MiB));
 
   // Parallel-runner metrics: identical work timed serially and fanned
   // across the WorkerPool. Speedup ~1.0 on a single-core host.
-  const std::uint64_t sweep_seeds = smoke ? 32 : 256;
-  const int warmup_mix = smoke ? 12 : 24;
+  const std::uint64_t sweep_seeds = args.smoke ? 32 : 256;
+  const int warmup_mix = args.smoke ? 12 : 24;
   add("parallel_workers", workers);
   add("hw_threads", sim::WorkerPool::HardwareThreads());
   const double fuzz_serial = FuzzSweepWallSec(1, sweep_seeds);
@@ -348,8 +338,8 @@ int main(int argc, char** argv) {
   add("parallel_solo_warmup_parallel_wall_sec", solo_parallel);
   add("parallel_solo_warmup_speedup", solo_parallel > 0 ? solo_serial / solo_parallel : 0);
 
-  const std::string entry = FormatEntry(label, smoke ? "smoke" : "full", metrics);
-  if (!AppendEntry(out_path, entry)) return 1;
-  std::printf("appended entry \"%s\" to %s\n", label.c_str(), out_path.c_str());
+  const std::string entry = FormatEntry(args.label, args.smoke ? "smoke" : "full", metrics);
+  if (!AppendEntry(args.out, entry)) return 1;
+  std::printf("appended entry \"%s\" to %s\n", args.label.c_str(), args.out.c_str());
   return 0;
 }

@@ -26,10 +26,7 @@
 //
 // Exit codes: 0 all runs clean, 1 invariant violation or escaped
 // exception, 2 usage error.
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "src/common/log.hpp"
@@ -38,6 +35,7 @@
 #include "src/testkit/runner.hpp"
 #include "src/testkit/scenario_spec.hpp"
 #include "src/testkit/shrink.hpp"
+#include "tools/flag_table.hpp"
 
 using namespace uvs;
 
@@ -57,70 +55,35 @@ struct Args {
   std::string flight;  // flight-recorder dump path ("" = off)
 };
 
-void PrintUsage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: uvfuzz [flags]\n"
-               "  --seeds=N          scenarios to run (default 64)\n"
-               "  --base-seed=S      first seed (default 1)\n"
-               "  --seed=S           run exactly one seed\n"
-               "  --spec='k=v ...'   replay one explicit scenario spec\n"
-               "  --time-budget=S    stop fuzzing after S wall-clock seconds (one\n"
-               "                     shared deadline — -j does not multiply it)\n"
-               "  -j N, --jobs=N     fan the sweep across N worker threads with\n"
-               "                     output identical to the serial sweep (0 = all\n"
-               "                     hardware threads; default 1)\n"
-               "  --no-shrink        do not shrink a failing scenario\n"
-               "  --no-differential  skip the Lustre differential read-back\n"
-               "  --flight-recorder[=FILE]\n"
-               "                     dump a ring of recent events as JSON when a\n"
-               "                     scenario fails (default file flight-recorder.json)\n"
-               "  --quiet            only print failures and the summary\n"
-               "  --help             show this message\n");
+using flags::SetInt;
+using flags::SetReal;
+using flags::SetSwitch;
+using flags::SetText;
+
+std::string SetSeed(Args& args, const char* v) {
+  args.single_seed = true;
+  return SetInt<&Args::seed, 0>(args, v);
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-int Parse(int argc, char** argv, Args& args) {
-  std::string value;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (ParseFlag(arg, "--seeds", &value)) args.seeds = std::strtoull(value.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "--base-seed", &value))
-      args.base_seed = std::strtoull(value.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "--seed", &value)) {
-      args.single_seed = true;
-      args.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "--spec", &value)) args.spec = value;
-    else if (ParseFlag(arg, "--time-budget", &value))
-      args.time_budget = std::atof(value.c_str());
-    else if (ParseFlag(arg, "--jobs", &value)) args.jobs = std::atoi(value.c_str());
-    else if (std::strcmp(arg, "-j") == 0 && i + 1 < argc)
-      args.jobs = std::atoi(argv[++i]);
-    else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0')
-      args.jobs = std::atoi(arg + 2);
-    else if (std::strcmp(arg, "--no-shrink") == 0) args.shrink = false;
-    else if (std::strcmp(arg, "--no-differential") == 0) args.differential = false;
-    else if (std::strcmp(arg, "--flight-recorder") == 0) args.flight = "flight-recorder.json";
-    else if (ParseFlag(arg, "--flight-recorder", &value)) args.flight = value;
-    else if (std::strcmp(arg, "--quiet") == 0 || std::strcmp(arg, "-q") == 0) args.quiet = true;
-    else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      PrintUsage(stdout);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n\n", arg);
-      PrintUsage(stderr);
-      return 2;
-    }
-  }
-  return 0;
-}
+constexpr flags::Flag<Args> kFlags[] = {
+    {"--seeds", "=N", SetInt<&Args::seeds, 1>, "scenarios to run (default 64)"},
+    {"--base-seed", "=S", SetInt<&Args::base_seed, 0>, "first seed (default 1)"},
+    {"--seed", "=S", SetSeed, "run exactly one seed"},
+    {"--spec", "='k=v ...'", SetText<&Args::spec>, "replay one explicit scenario spec"},
+    {"--time-budget", "=S", SetReal<&Args::time_budget, 0.0>,
+     "stop fuzzing after S wall-clock seconds (one\n"
+     "shared deadline — -j does not multiply it)"},
+    {"--jobs", "=N", SetInt<&Args::jobs, 0>,
+     "fan the sweep across N worker threads with\n"
+     "output identical to the serial sweep (0 = all\nhardware threads; default 1)", "-j"},
+    {"--no-shrink", "", SetSwitch<&Args::shrink, false>, "do not shrink a failing scenario"},
+    {"--no-differential", "", SetSwitch<&Args::differential, false>,
+     "skip the Lustre differential read-back"},
+    {"--flight-recorder", "[=FILE]", flags::SetFlightPath<&Args::flight>,
+     "dump a ring of recent events as JSON when a\n"
+     "scenario fails (default file flight-recorder.json)"},
+    {"--quiet", "", SetSwitch<&Args::quiet>, "only print failures and the summary", "-q"},
+};
 
 /// Runs one spec; on failure optionally shrinks and prints the reproducer.
 /// Returns true when the run was clean.
@@ -168,8 +131,7 @@ bool RunOne(const testkit::ScenarioSpec& spec, const Args& args,
 
 int main(int argc, char** argv) {
   InitLogLevelFromEnv();
-  Args args;
-  if (const int rc = Parse(argc, argv, args); rc != 0) return rc;
+  const Args args = flags::Parse(argc, argv, "uvfuzz", kFlags);
 
   testkit::RunOptions options;
   options.differential = args.differential;

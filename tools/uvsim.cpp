@@ -11,21 +11,15 @@
 // Run `uvsim --help` for the full flag list; `--trace` / `--metrics`
 // additionally produce a Chrome trace-event timeline and a machine-readable
 // run report (see docs/OBSERVABILITY.md).
-#include <cctype>
 #include <algorithm>
 #include <charconv>
-#include <climits>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "src/cluster/arrival.hpp"
@@ -46,6 +40,7 @@
 #include "src/workload/scenario.hpp"
 #include "src/workload/system_under_test.hpp"
 #include "src/workload/vpic.hpp"
+#include "tools/flag_table.hpp"
 
 using namespace uvs;
 
@@ -61,7 +56,7 @@ struct Args {
   bool recover = false;
   int ec_k = 0, ec_m = 0;  // 0 = no erasure coding
   bool scrub = false;
-  double scrub_interval = -1;   // <0 = Config::EcConfig default
+  double scrub_interval = -1;   // <0 = workload::kScrubStripeInterval
   std::string trace, metrics;
   double sample_interval = -1;  // <0 = 1 s when observability is on, else 0
   bool attribution = false;
@@ -84,46 +79,11 @@ struct Args {
 };
 
 // --- The flag table --------------------------------------------------------
-// A setter stores one flag's value (nullptr when an optional value is
-// absent) and returns what a rejected value should have been, "" if none.
 
-using Setter = std::string (*)(Args&, const char* value);
-
-template <auto field, long long kMin = LLONG_MIN>
-std::string SetInt(Args& args, const char* v) {
-  auto n = args.*field;
-  const char* end = v + std::strlen(v);
-  const auto [p, ec] = std::from_chars(v, end, n);
-  bool in_range = true;
-  if constexpr (std::is_signed_v<decltype(n)>) in_range = n >= kMin;
-  if (ec != std::errc{} || p != end || !in_range)
-    return kMin == LLONG_MIN ? "an integer" : "an integer >= " + std::to_string(kMin);
-  args.*field = n;
-  return "";
-}
-
-template <double Args::*field>
-std::string SetReal(Args& args, const char* v) {
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);
-  if (*v == '\0' || std::isspace(static_cast<unsigned char>(*v)) || *end != '\0' ||
-      !std::isfinite(x))
-    return "a finite number";
-  args.*field = x;
-  return "";
-}
-
-template <std::string Args::*field>
-std::string SetText(Args& args, const char* v) {
-  args.*field = v;
-  return "";
-}
-
-template <bool Args::*field, bool kValue = true>
-std::string SetSwitch(Args& args, const char*) {
-  args.*field = kValue;
-  return "";
-}
+using flags::SetInt;
+using flags::SetReal;
+using flags::SetSwitch;
+using flags::SetText;
 
 std::string SetEc(Args& args, const char* v) {
   const std::string_view spec = v;
@@ -148,18 +108,7 @@ std::string SetSlo(Args& args, const char* v) {
   return v != nullptr ? SetText<&Args::slo_spec>(args, v) : "";
 }
 
-std::string SetFlight(Args& args, const char* v) {
-  return SetText<&Args::flight>(args, v != nullptr ? v : "flight-recorder.json");
-}
-
-struct Flag {
-  const char* name;
-  const char* value;  // "=X" takes a value, "[=X]" may, "" takes none
-  Setter set;
-  const char* help;   // '\n' continues on the next usage line
-};
-
-constexpr Flag kFlags[] = {
+constexpr flags::Flag<Args> kFlags[] = {
     {"--system", "=univistor|de|lustre", SetText<&Args::system>, "storage system under test"},
     {"--layer", "=dram|bb|disk", SetText<&Args::layer>, "UniviStor first cache layer"},
     {"--workload", "=micro|vpic|workflow", SetText<&Args::workload>, "workload to run"},
@@ -193,19 +142,21 @@ constexpr Flag kFlags[] = {
      "cap recorder span memory at N spans\n(cluster: prune boring jobs' spans first)"},
     {"--slo", "[=SPEC]", SetSlo, "cluster: print per-tenant SLO burn-rate\n"
                                  "verdicts; SPEC like 'stretch<=4:budget=0.25'"},
-    {"--flight-recorder", "[=FILE]", SetFlight, "dump recent events as JSON on invariant\n"
-                                                "failure, crash or non-zero exit"},
+    {"--flight-recorder", "[=FILE]", flags::SetFlightPath<&Args::flight>,
+     "dump recent events as JSON on invariant\nfailure, crash or non-zero exit"},
     {"--live", "", SetSwitch<&Args::live>, "cluster: progress ticker per sample tick"},
     {"--cluster", "", SetSwitch<&Args::cluster>, "multi-tenant mode: run a job mix through\n"
                                                  "the cluster scheduler, print per-job QoS"},
     {"--jobs", "=N", SetInt<&Args::jobs, 1>, "cluster: sampled mix size (default 8)"},
     {"--csched", "=fcfs|easy|bb", SetText<&Args::csched>, "cluster: policy (default bb)"},
-    {"--interarrival", "=S", SetReal<&Args::interarrival>,
+    {"--interarrival", "=S", SetReal<&Args::interarrival, 0.0>,
      "cluster: mean Poisson interarrival, sim\nseconds (default 0.01; 0 = all at t=0)"},
     {"--seed", "=N", SetInt<&Args::seed, 0>, "cluster: mix sampling seed (default 42)"},
     {"--bb-bound", "", SetSwitch<&Args::bb_bound>, "cluster: sample a BB-heavy mix"},
-    {"--lustre-frac", "=F", SetReal<&Args::lustre_frac>, "cluster: fraction of Lustre jobs"},
-    {"--ec-frac", "=F", SetReal<&Args::ec_frac>, "cluster: fraction of erasure-coded jobs"},
+    {"--lustre-frac", "=F", SetReal<&Args::lustre_frac, 0.0, 1.0>,
+     "cluster: fraction of Lustre jobs"},
+    {"--ec-frac", "=F", SetReal<&Args::ec_frac, 0.0, 1.0>,
+     "cluster: fraction of erasure-coded jobs"},
     {"--bb-mb", "=N", SetInt<&Args::bb_mb, 0>, "cluster: BB MiB per BB node (default 64)"},
     {"--osts", "=N", SetInt<&Args::osts, 1>, "cluster: PFS OSTs (default 4)"},
     {"--ppn", "=N", SetInt<&Args::ppn, 1>, "cluster: client ranks per node (default 4)"},
@@ -215,54 +166,10 @@ constexpr Flag kFlags[] = {
     {"--job-trace", "=FILE", SetText<&Args::job_trace>, "cluster: write the JSON job trace"},
 };
 
-void PrintUsage(std::FILE* out) {
-  std::fprintf(out, "usage: uvsim [flags]\n");
-  for (const Flag& flag : kFlags) {
-    std::string help = flag.help;
-    for (std::size_t nl = help.find('\n'); nl != std::string::npos; nl = help.find('\n', nl + 1))
-      help.insert(nl + 1, 34, ' ');
-    std::fprintf(out, "  %-32s%s\n", (std::string(flag.name) + flag.value).c_str(), help.c_str());
-  }
-  std::fprintf(out,
-               "  --help                          show this message\n"
-               "Environment: UVS_LOG_LEVEL=trace|debug|info|warn|error|off\n");
-}
-
-Args Parse(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      PrintUsage(stdout);
-      std::exit(0);
-    }
-    const Flag* flag = nullptr;
-    const char* value = nullptr;
-    for (const Flag& f : kFlags) {
-      const std::size_t len = std::strlen(f.name);
-      if (std::strncmp(arg, f.name, len) != 0) continue;
-      if (arg[len] == '\0' && f.value[0] != '=') flag = &f;
-      if (arg[len] == '=' && f.value[0] != '\0') flag = &f, value = arg + len + 1;
-      if (flag != nullptr) break;
-    }
-    if (flag == nullptr) {
-      std::fprintf(stderr, "unknown flag: %s\n\n", arg);
-      PrintUsage(stderr);
-      std::exit(2);
-    }
-    if (const std::string wants = flag->set(args, value); !wants.empty()) {
-      std::fprintf(stderr, "uvsim: %s wants %s, got %s\n", flag->name, wants.c_str(), value);
-      std::exit(2);
-    }
-  }
-  return args;
-}
-
 // --- Shared run steps ------------------------------------------------------
 
 double ScrubInterval(const Args& args) {
-  return args.scrub_interval >= 0 ? args.scrub_interval
-                                  : univistor::Config::EcConfig{}.scrub_stripe_interval;
+  return args.scrub_interval >= 0 ? args.scrub_interval : workload::kScrubStripeInterval;
 }
 
 /// The --ec shard counts; the default (off) config without --ec.
@@ -706,7 +613,8 @@ int Run(const Args& args) {
 
 int main(int argc, char** argv) {
   InitLogLevelFromEnv();
-  const Args args = Parse(argc, argv);
+  const Args args = flags::Parse(argc, argv, "uvsim", kFlags,
+                                 "Environment: UVS_LOG_LEVEL=trace|debug|info|warn|error|off\n");
   // The flight recorder brackets the whole run so a dump fires no matter
   // which path exits non-zero (invariant failure, node crash, exception).
   obs::FlightRecorder flight;
