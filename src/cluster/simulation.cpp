@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 
+#include "src/common/log.hpp"
 #include "src/fault/injector.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/sim/worker_pool.hpp"
@@ -155,15 +156,19 @@ void ClusterSim::PrecomputeSolo() {
   const int workers = std::min<int>(requested, static_cast<int>(shapes.size()));
   if (workers > 1) {
     sim::WorkerPool pool(workers);
+    std::vector<std::string> logs(shapes.size());
     const std::vector<SoloStats> stats = sim::ParallelMap<SoloStats>(
-        pool, shapes.size(), [this, &shapes, &specs](std::size_t i) {
+        pool, shapes.size(), [this, &shapes, &specs, &logs](std::size_t i) {
+          const LogCapture capture(&logs[i]);
           return SoloRunUncached(*specs[i], shapes[i]);
         });
-    // Merge in first-appearance order: each entry is a pure function of its
-    // key, so the memo — and everything scheduled off it — is bit-identical
-    // to the serial path.
-    for (std::size_t i = 0; i < shapes.size(); ++i)
+    // Merge (and print each run's log lines) in first-appearance order: each
+    // entry is a pure function of its key, so the memo — and everything
+    // scheduled off it — is bit-identical to the serial path, stderr too.
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      std::fputs(logs[i].c_str(), stderr);
       solo_memo_.emplace(shapes[i].key, stats[i]);
+    }
   } else {
     for (std::size_t i = 0; i < shapes.size(); ++i)
       solo_memo_.emplace(shapes[i].key, SoloRunUncached(*specs[i], shapes[i]));
@@ -510,7 +515,7 @@ obs::QuantileSketch ClusterSim::ClusterWaitSketch() const {
 
 std::string ClusterSim::TelemetryJson() const {
   std::string out = "{\"schema\":\"univistor.telemetry.v1\"";
-  out += ",\"relative_error\":" + FmtDouble(obs::QuantileSketch::kDefaultRelativeError);
+  out += ",\"relative_error\":" + FmtDouble(obs::QuantileSketch::kRelativeError);
   out += ",\"tenants\":{";
   bool first = true;
   for (const auto& [tenant, tt] : tenants_) {

@@ -12,6 +12,7 @@ namespace uvs {
 
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
+thread_local std::string* t_sink = nullptr;  // LogCapture target; null = stderr
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -43,9 +44,20 @@ void InitLogLevelFromEnv() {
   else UVS_WARN("log: unrecognized UVS_LOG_LEVEL '" << raw << "' ignored");
 }
 
+LogCapture::LogCapture(std::string* sink) : outer_(t_sink) { t_sink = sink; }
+LogCapture::~LogCapture() { t_sink = outer_; }
+
 namespace internal {
 void LogLine(LogLevel level, const std::string& msg) {
-  std::fprintf(stderr, "[%s] %s\n", LevelName(level), msg.c_str());
+  if (t_sink == nullptr) {
+    std::fprintf(stderr, "[%s] %s\n", LevelName(level), msg.c_str());
+    return;
+  }
+  *t_sink += '[';
+  *t_sink += LevelName(level);
+  *t_sink += "] ";
+  *t_sink += msg;
+  *t_sink += '\n';
 }
 }  // namespace internal
 

@@ -18,6 +18,20 @@ void SetLogLevel(LogLevel level);
 /// unrecognized. Entry points call this once at startup.
 void InitLogLevelFromEnv();
 
+/// While alive, appends this thread's log lines to `*sink`, formatted as
+/// they would be on stderr, instead of printing them. Parallel sweeps keep
+/// each run's lines with its result and print them in a fixed order.
+class LogCapture {
+ public:
+  explicit LogCapture(std::string* sink);
+  ~LogCapture();
+  LogCapture(const LogCapture&) = delete;
+  LogCapture& operator=(const LogCapture&) = delete;
+
+ private:
+  std::string* outer_;
+};
+
 namespace internal {
 void LogLine(LogLevel level, const std::string& msg);
 }

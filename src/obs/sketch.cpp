@@ -1,7 +1,6 @@
 #include "src/obs/sketch.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 
@@ -17,24 +16,20 @@ namespace {
 /// relative accuracy; they share the zero bucket.
 constexpr double kMinRepresentable = 1e-12;
 
+constexpr double kGamma =
+    (1.0 + QuantileSketch::kRelativeError) / (1.0 - QuantileSketch::kRelativeError);
+
+const double kLogGamma = std::log(kGamma);
+
+// Bucket i covers (gamma^(i-1), gamma^i]; the midpoint estimate
+// 2*gamma^i/(gamma+1) is within kRelativeError of every value in it.
+std::int32_t BucketIndex(double x) {
+  return static_cast<std::int32_t>(std::ceil(std::log(x) / kLogGamma));
+}
+
+double BucketValue(std::int32_t index) { return 2.0 * std::pow(kGamma, index) / (kGamma + 1.0); }
+
 }  // namespace
-
-QuantileSketch::QuantileSketch(double relative_error, std::size_t max_buckets)
-    : alpha_(relative_error), max_buckets_(std::max<std::size_t>(max_buckets, 2)) {
-  assert(relative_error > 0.0 && relative_error < 1.0);
-  gamma_ = (1.0 + alpha_) / (1.0 - alpha_);
-  log_gamma_ = std::log(gamma_);
-}
-
-std::int32_t QuantileSketch::BucketIndex(double x) const {
-  // Bucket i covers (gamma^(i-1), gamma^i]; the midpoint estimate
-  // 2*gamma^i/(gamma+1) is within alpha of every value in the bucket.
-  return static_cast<std::int32_t>(std::ceil(std::log(x) / log_gamma_));
-}
-
-double QuantileSketch::BucketValue(std::int32_t index) const {
-  return 2.0 * std::pow(gamma_, index) / (gamma_ + 1.0);
-}
 
 void QuantileSketch::Add(double x) {
   if (count_ == 0) {
@@ -54,7 +49,6 @@ void QuantileSketch::Add(double x) {
 }
 
 void QuantileSketch::Merge(const QuantileSketch& other) {
-  assert(alpha_ == other.alpha_ && "sketches must share a relative_error to merge");
   if (other.count_ == 0) return;
   if (count_ == 0) {
     min_ = other.min_;
@@ -74,7 +68,7 @@ void QuantileSketch::Merge(const QuantileSketch& other) {
 void QuantileSketch::CollapseIfNeeded() {
   // Fold the lowest bucket into its neighbour until under the cap: the
   // tail keeps its guarantee, the collapsed head degrades gracefully.
-  while (buckets_.size() > max_buckets_) {
+  while (buckets_.size() > kMaxBuckets) {
     auto lowest = buckets_.begin();
     auto next = std::next(lowest);
     collapsed_ += lowest->second;
@@ -114,7 +108,7 @@ std::string QuantileSketch::ToJson() const {
   out += ",\"p50\":" + JsonNumber(Quantile(0.5));
   out += ",\"p90\":" + JsonNumber(Quantile(0.9));
   out += ",\"p99\":" + JsonNumber(Quantile(0.99));
-  out += ",\"relative_error\":" + JsonNumber(alpha_);
+  out += ",\"relative_error\":" + JsonNumber(kRelativeError);
   out += ",\"buckets\":" + std::to_string(buckets_.size());
   out += ",\"collapsed\":" + std::to_string(collapsed_);
   out += ",\"zero\":" + std::to_string(zero_count_);

@@ -2,17 +2,16 @@
 //
 // Replaces unbounded exact sample vectors on the always-on telemetry path:
 // positive values land in logarithmic buckets sized so every quantile
-// estimate is within `relative_error` of the exact nearest-rank value on
+// estimate is within kRelativeError of the exact nearest-rank value on
 // the same samples (the convention of cluster::Quantile, which the
 // property tests compare against). Memory is bounded twice over — bucket
 // width grows geometrically, and when the bucket count exceeds
-// `max_buckets` the lowest buckets collapse pairwise, trading accuracy at
+// kMaxBuckets the lowest buckets collapse pairwise, trading accuracy at
 // the *low* quantiles for an intact tail (p90/p99 are what SLOs watch).
 //
-// Sketches over the same relative_error merge losslessly bucket-by-bucket
-// (`Merge`), which is how per-tenant sketches roll up into cluster-wide
-// distributions. Everything is deterministic: same Add/Merge sequence,
-// same buckets, same JSON.
+// Sketches merge losslessly bucket-by-bucket (`Merge`), which is how
+// per-tenant sketches roll up into cluster-wide distributions. Everything
+// is deterministic: same Add/Merge sequence, same buckets, same JSON.
 #pragma once
 
 #include <cstddef>
@@ -24,19 +23,16 @@ namespace uvs::obs {
 
 class QuantileSketch {
  public:
-  /// Default accuracy: quantile estimates within 2% of the exact value.
-  static constexpr double kDefaultRelativeError = 0.02;
-  static constexpr std::size_t kDefaultMaxBuckets = 1024;
-
-  explicit QuantileSketch(double relative_error = kDefaultRelativeError,
-                          std::size_t max_buckets = kDefaultMaxBuckets);
+  /// Accuracy: quantile estimates within 2% of the exact value.
+  static constexpr double kRelativeError = 0.02;
+  static constexpr std::size_t kMaxBuckets = 1024;
 
   void Add(double x);
-  /// Folds `other` into this sketch; both must use the same relative_error.
+  /// Folds `other` into this sketch.
   void Merge(const QuantileSketch& other);
 
   /// Nearest-rank quantile estimate (rank = ceil(q * count), clamped),
-  /// within relative_error of the exact value for uncollapsed buckets.
+  /// within kRelativeError of the exact value for uncollapsed buckets.
   /// Non-positive samples count toward rank and report as min(). Empty
   /// sketch -> 0.
   double Quantile(double q) const;
@@ -46,9 +42,7 @@ class QuantileSketch {
   double min() const { return count_ != 0 ? min_ : 0.0; }
   double max() const { return count_ != 0 ? max_ : 0.0; }
   double mean() const { return count_ != 0 ? sum_ / static_cast<double>(count_) : 0.0; }
-  double relative_error() const { return alpha_; }
   std::size_t bucket_count() const { return buckets_.size(); }
-  std::size_t max_buckets() const { return max_buckets_; }
   /// Samples folded through a lossy low-bucket collapse (0 = full accuracy
   /// everywhere; >0 = the guarantee holds above the collapse boundary).
   std::uint64_t collapsed() const { return collapsed_; }
@@ -60,14 +54,8 @@ class QuantileSketch {
   std::string ToJson() const;
 
  private:
-  std::int32_t BucketIndex(double x) const;
-  double BucketValue(std::int32_t index) const;
   void CollapseIfNeeded();
 
-  double alpha_;
-  double gamma_;      // (1 + alpha) / (1 - alpha)
-  double log_gamma_;
-  std::size_t max_buckets_;
   // Ordered map: quantile walks and exports iterate low -> high bucket,
   // making every result independent of insertion order.
   std::map<std::int32_t, std::uint64_t> buckets_;

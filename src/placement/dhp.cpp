@@ -45,11 +45,11 @@ std::vector<Bytes> BuildCapacities(const std::vector<storage::LayerStore*>& stor
 }
 }  // namespace
 
-DhpWriterChain::DhpWriterChain(storage::LogKey key, std::vector<storage::LayerStore*> stores,
+DhpWriterChain::DhpWriterChain(const storage::LogKey& key,
+                               const std::vector<storage::LayerStore*>& stores,
                                const std::vector<Bytes>& requested_capacities)
-    : key_(key),
-      stores_(std::move(stores)),
-      codec_(BuildCapacities(stores_, logs_, key_, requested_capacities)),
+    : first_layer_(stores.empty() ? hw::Layer::kPfs : stores.front()->layer()),
+      codec_(BuildCapacities(stores, logs_, key, requested_capacities)),
       placed_(static_cast<std::size_t>(hw::kLayerCount), 0) {}
 
 Bytes DhpWriterChain::PlacedOn(hw::Layer layer) const {
@@ -87,25 +87,10 @@ std::vector<Placement> DhpWriterChain::Append(Bytes len) {
     // A chain hop = the append could not be satisfied by the first layer
     // alone (DHP spilled down the hierarchy, §II-B1). A chain with no cache
     // layer (UniviStor-on-Disk) writes the PFS directly and never spills.
-    if (out.size() > 1 || (!out.empty() && !stores_.empty() &&
-                           out.front().layer != stores_.front()->layer()))
+    if (out.size() > 1 || (!out.empty() && out.front().layer != first_layer_))
       obs::Count("placement.spills");
   }
   return out;
-}
-
-Status DhpWriterChain::Free(const Placement& placement) {
-  const auto idx = static_cast<std::size_t>(placement.layer);
-  if (placement.layer == hw::Layer::kPfs) {
-    // PFS space is managed by the file system, not the log chain.
-    placed_[idx] -= placement.extent.len;
-    return Status::Ok();
-  }
-  storage::LogFile* log = logs_[idx];
-  if (log == nullptr) return FailedPreconditionError("no log on that layer");
-  UVS_RETURN_IF_ERROR(log->Free(placement.extent));
-  placed_[idx] -= placement.extent.len;
-  return Status::Ok();
 }
 
 }  // namespace uvs::placement

@@ -38,11 +38,10 @@ class DhpWriterChain {
   /// `stores` are the cache layers fastest-first (DRAM [, node SSD] [, BB]);
   /// logs are opened in each with capacity min(requested_i, space left).
   /// The PFS always terminates the chain.
-  DhpWriterChain(storage::LogKey key, std::vector<storage::LayerStore*> stores,
+  DhpWriterChain(const storage::LogKey& key, const std::vector<storage::LayerStore*>& stores,
                  const std::vector<Bytes>& requested_capacities);
 
   const VirtualAddressCodec& codec() const { return codec_; }
-  const storage::LogKey& key() const { return key_; }
 
   /// Bytes appended so far per layer (indexed by hw::Layer).
   Bytes PlacedOn(hw::Layer layer) const;
@@ -51,14 +50,9 @@ class DhpWriterChain {
   /// tail is unbounded).
   std::vector<Placement> Append(Bytes len);
 
-  /// Releases a previously placed extent (logs recycle their chunks; PFS
-  /// space is not reclaimed).
-  Status Free(const Placement& placement);
-
  private:
-  storage::LogKey key_;
-  std::vector<storage::LayerStore*> stores_;      // parallel to layers 0..n-1
-  std::vector<storage::LogFile*> logs_;           // nullptr if layer got no space
+  hw::Layer first_layer_;                 // fastest layer; kPfs with no cache
+  std::vector<storage::LogFile*> logs_;  // per hw::Layer; nullptr if no space
   VirtualAddressCodec codec_;
   Bytes pfs_cursor_ = 0;
   std::vector<Bytes> placed_;  // per hw::Layer

@@ -1,12 +1,11 @@
 #include "src/storage/layer_store.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace uvs::storage {
 
 LayerStore::LayerStore(hw::Layer layer, Bytes capacity, Bytes chunk_size)
-    : layer_(layer), chunk_size_(chunk_size), total_chunks_(capacity / chunk_size) {
+    : layer_(layer), chunk_size_(chunk_size), budget_{capacity / chunk_size} {
   assert(chunk_size > 0);
 }
 
@@ -14,43 +13,9 @@ LogFile* LayerStore::OpenLog(const LogKey& key, Bytes capacity) {
   if (auto it = logs_.find(key); it != logs_.end()) return it->second.get();
   if (capacity < chunk_size_) return nullptr;  // cannot hold even one chunk
   auto [it, inserted] =
-      logs_.emplace(key, std::make_unique<LogFile>(capacity, chunk_size_, this));
+      logs_.emplace(key, std::make_unique<LogFile>(capacity, chunk_size_, &budget_));
   assert(inserted);
   return it->second.get();
-}
-
-LogFile* LayerStore::FindLog(const LogKey& key) {
-  auto it = logs_.find(key);
-  return it == logs_.end() ? nullptr : it->second.get();
-}
-
-const LogFile* LayerStore::FindLog(const LogKey& key) const {
-  auto it = logs_.find(key);
-  return it == logs_.end() ? nullptr : it->second.get();
-}
-
-Status LayerStore::DeleteLog(const LogKey& key) {
-  auto it = logs_.find(key);
-  if (it == logs_.end()) return NotFoundError("no such log");
-  // Return this log's consumed chunks (live plus partially-filled ones);
-  // used() is chunk-granular, so round the live bytes up per chunk via the
-  // log's own accounting: every chunk it drew but has not released.
-  const Bytes drawn = it->second->consumed_chunks();
-  assert(consumed_chunks_ >= drawn);
-  consumed_chunks_ -= drawn;
-  logs_.erase(it);
-  return Status::Ok();
-}
-
-bool LayerStore::TryConsume() {
-  if (consumed_chunks_ >= total_chunks_) return false;
-  ++consumed_chunks_;
-  return true;
-}
-
-void LayerStore::Release() {
-  assert(consumed_chunks_ > 0);
-  --consumed_chunks_;
 }
 
 }  // namespace uvs::storage

@@ -5,16 +5,15 @@
 // node-local SSD) LayerStore; the shared burst buffer has a single global
 // LayerStore. Logs are created per (logical file, producer process) with a
 // fixed per-log capacity (the paper's pre-sized memory-mapped files), but
-// physical chunks are granted lazily from the store-wide budget as data is
-// appended — like mmap, reserving address space costs nothing until pages
-// are touched.
+// physical chunks are granted lazily from the store-wide chunk budget as
+// data is appended — like mmap, reserving address space costs nothing until
+// pages are touched.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 
-#include "src/common/status.hpp"
 #include "src/common/units.hpp"
 #include "src/hw/params.hpp"
 #include "src/storage/log_file.hpp"
@@ -31,14 +30,14 @@ struct LogKey {
   auto operator<=>(const LogKey&) const = default;
 };
 
-class LayerStore : public ChunkBudget {
+class LayerStore {
  public:
   LayerStore(hw::Layer layer, Bytes capacity, Bytes chunk_size);
 
   hw::Layer layer() const { return layer_; }
-  Bytes capacity() const { return chunk_size_ * total_chunks_; }
+  Bytes capacity() const { return chunk_size_ * budget_.total; }
   /// Bytes of physical chunks currently handed to logs.
-  Bytes used() const { return chunk_size_ * consumed_chunks_; }
+  Bytes used() const { return chunk_size_ * budget_.consumed; }
   Bytes available() const { return capacity() - used(); }
   Bytes chunk_size() const { return chunk_size_; }
 
@@ -46,28 +45,10 @@ class LayerStore : public ChunkBudget {
   /// capacity; appends draw physical chunks from this store on demand.
   LogFile* OpenLog(const LogKey& key, Bytes capacity);
 
-  LogFile* FindLog(const LogKey& key);
-  const LogFile* FindLog(const LogKey& key) const;
-
-  /// Drops the log and returns its consumed chunks to the store.
-  Status DeleteLog(const LogKey& key);
-
-  // ChunkBudget:
-  bool TryConsume() override;
-  void Release() override;
-
-  /// Marks every log in this store unreadable (the owning node died).
-  /// Purely informational — re-read paths consult the system's failure
-  /// accounting; this flag lets audits distinguish "lost" from "empty".
-  void MarkLost() { lost_ = true; }
-  bool lost() const { return lost_; }
-
  private:
   hw::Layer layer_;
-  bool lost_ = false;
   Bytes chunk_size_;
-  Bytes total_chunks_ = 0;
-  Bytes consumed_chunks_ = 0;
+  ChunkBudget budget_;
   std::map<LogKey, std::unique_ptr<LogFile>> logs_;
 };
 

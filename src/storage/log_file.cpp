@@ -5,32 +5,15 @@
 
 namespace uvs::storage {
 
-FreeChunkStack::FreeChunkStack(std::uint32_t chunk_count) {
-  stack_.reserve(chunk_count);
-  // Push high ids first so the lowest id pops first initially.
-  for (std::uint32_t id = chunk_count; id > 0; --id) stack_.push_back(id - 1);
-}
-
-Result<std::uint32_t> FreeChunkStack::Pop() {
-  if (stack_.empty()) return ResourceExhaustedError("no free chunks");
-  const std::uint32_t id = stack_.back();
-  stack_.pop_back();
-  return id;
-}
-
-void FreeChunkStack::Push(std::uint32_t chunk_id) { stack_.push_back(chunk_id); }
-
 LogFile::LogFile(Bytes capacity, Bytes chunk_size, ChunkBudget* budget)
     : chunk_size_(chunk_size),
       chunk_count_(static_cast<std::uint32_t>(std::max<Bytes>(1, capacity / chunk_size))),
-      budget_(budget),
-      free_chunks_(chunk_count_),
-      live_bytes_(chunk_count_, 0) {
+      budget_(budget) {
   assert(chunk_size > 0);
 }
 
 Bytes LogFile::appendable() const {
-  Bytes total = static_cast<Bytes>(free_chunks_.size()) * chunk_size_;
+  Bytes total = static_cast<Bytes>(chunk_count_ - next_fresh_ + freed_.size()) * chunk_size_;
   if (open_chunk_ >= 0) total += chunk_size_ - open_fill_;
   return total;
 }
@@ -39,10 +22,18 @@ std::vector<Extent> LogFile::AppendUpTo(Bytes len) {
   std::vector<Extent> extents;
   while (len > 0) {
     if (open_chunk_ < 0 || open_fill_ == chunk_size_) {
-      if (free_chunks_.empty()) break;  // log full: caller spills the remainder
-      if (budget_ != nullptr && !budget_->TryConsume()) break;  // layer full
-      auto next = free_chunks_.Pop();
-      open_chunk_ = static_cast<std::int64_t>(*next);
+      if (freed_.empty() && next_fresh_ == chunk_count_) break;  // log full: caller spills
+      if (budget_ != nullptr) {
+        if (budget_->consumed >= budget_->total) break;  // layer full
+        ++budget_->consumed;
+      }
+      if (freed_.empty()) {
+        open_chunk_ = next_fresh_++;
+        live_bytes_.push_back(0);
+      } else {
+        open_chunk_ = freed_.back();
+        freed_.pop_back();
+      }
       open_fill_ = 0;
     }
     const Bytes room = chunk_size_ - open_fill_;
@@ -71,7 +62,9 @@ Status LogFile::Free(const Extent& extent) {
     const auto chunk = static_cast<std::size_t>(addr / chunk_size_);
     const Bytes within = addr % chunk_size_;
     const Bytes span = std::min(chunk_size_ - within, remaining);
-    if (live_bytes_[chunk] < span) return FailedPreconditionError("double free in chunk");
+    // A chunk never opened holds no live bytes.
+    if (chunk >= live_bytes_.size() || live_bytes_[chunk] < span)
+      return FailedPreconditionError("double free in chunk");
     live_bytes_[chunk] -= span;
     used_ -= span;
     if (live_bytes_[chunk] == 0) {
@@ -80,8 +73,11 @@ Status LogFile::Free(const Extent& extent) {
         open_chunk_ = -1;
         open_fill_ = 0;
       }
-      free_chunks_.Push(static_cast<std::uint32_t>(chunk));
-      if (budget_ != nullptr) budget_->Release();
+      freed_.push_back(static_cast<std::uint32_t>(chunk));
+      if (budget_ != nullptr) {
+        assert(budget_->consumed > 0);
+        --budget_->consumed;
+      }
     }
     addr += span;
     remaining -= span;

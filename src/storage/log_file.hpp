@@ -2,9 +2,11 @@
 //
 // Each log has a fixed allocated capacity, formatted as equal-size chunks.
 // Data is appended sequentially inside the current chunk; when a chunk
-// fills, the next chunk id is popped from the free-chunk stack. Freeing an
-// extent decrements its chunks' live-byte counts and recycles fully-freed
-// chunks by pushing their ids back onto the stack.
+// fills, the next one comes off the free-chunk stack: the most recently
+// freed chunk first (LIFO), else the lowest never-used id. Freeing an
+// extent decrements its chunks' live-byte counts and pushes fully-freed
+// chunks back for reuse. Per-chunk state exists only up to the highest
+// chunk ever opened, so reserved capacity costs nothing until it is used.
 //
 // Addresses returned by Append are *physical addresses within this log*
 // (chunk_id * chunk_size + offset); placement::VirtualAddress turns them
@@ -28,32 +30,11 @@ struct Extent {
   friend bool operator==(const Extent&, const Extent&) = default;
 };
 
-/// LIFO recycler of chunk ids (§II-B1's "free chunk stack").
-class FreeChunkStack {
- public:
-  explicit FreeChunkStack(std::uint32_t chunk_count);
-
-  bool empty() const { return stack_.empty(); }
-  std::size_t size() const { return stack_.size(); }
-
-  /// Pops the most recently freed (or initially the lowest-id) chunk.
-  Result<std::uint32_t> Pop();
-  void Push(std::uint32_t chunk_id);
-
- private:
-  std::vector<std::uint32_t> stack_;
-};
-
-/// Grants/returns whole chunks of backing space. A LogFile consults it
-/// before opening each chunk, so many logs can share one layer's physical
-/// budget while each keeps its own (virtual) capacity for VA purposes.
-class ChunkBudget {
- public:
-  virtual ~ChunkBudget() = default;
-  /// Claims one chunk of backing space; false when the layer is full.
-  virtual bool TryConsume() = 0;
-  /// Returns one chunk (called when a log chunk becomes fully free).
-  virtual void Release() = 0;
+/// Whole chunks of backing space shared by many logs: each keeps its own
+/// (virtual) capacity for VA purposes, but opening a chunk claims one here.
+struct ChunkBudget {
+  Bytes total = 0;
+  Bytes consumed = 0;
 };
 
 class LogFile {
@@ -69,10 +50,6 @@ class LogFile {
 
   /// Live (not yet freed) bytes.
   Bytes used() const { return used_; }
-  /// Chunks drawn (from the budget, if any) and not yet returned.
-  Bytes consumed_chunks() const {
-    return static_cast<Bytes>(chunk_count_) - static_cast<Bytes>(free_chunks_.size());
-  }
   /// Bytes still appendable (free chunks plus the tail of the current one).
   Bytes appendable() const;
 
@@ -90,11 +67,12 @@ class LogFile {
   Bytes chunk_size_;
   std::uint32_t chunk_count_;
   ChunkBudget* budget_;
-  FreeChunkStack free_chunks_;
+  std::uint32_t next_fresh_ = 0;        // lowest never-opened chunk id
+  std::vector<std::uint32_t> freed_;    // recycled chunk ids, newest last
   // Current append chunk: id and fill level; -1 when none is open.
   std::int64_t open_chunk_ = -1;
   Bytes open_fill_ = 0;
-  std::vector<Bytes> live_bytes_;  // per chunk
+  std::vector<Bytes> live_bytes_;  // per chunk below next_fresh_
   Bytes used_ = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 
+#include "src/common/log.hpp"
 #include "src/sim/worker_pool.hpp"
 
 namespace uvs::testkit {
@@ -12,7 +13,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-void Fill(SeedRun& run, RunOutcome outcome) {
+void Run(SeedRun& run, const RunOptions& options) {
+  const LogCapture capture(&run.log);  // printed later, in seed order
+  run.spec = SampleScenario(run.seed);
+  RunOutcome outcome = RunScenario(run.spec, options);
   run.report = std::move(outcome.report);
   run.file_sizes = std::move(outcome.file_sizes);
   run.sim_time = outcome.sim_time;
@@ -44,8 +48,7 @@ BatchResult RunSeedBatch(std::uint64_t base_seed, std::uint64_t n, const BatchOp
         break;
       }
       SeedRun& run = result.runs[i];
-      run.spec = SampleScenario(run.seed);
-      Fill(run, RunScenario(run.spec, options.run));
+      Run(run, options.run);
       if (!run.ok) break;
     }
     return result;
@@ -65,8 +68,7 @@ BatchResult RunSeedBatch(std::uint64_t base_seed, std::uint64_t n, const BatchOp
       return;
     }
     SeedRun& run = result.runs[i];
-    run.spec = SampleScenario(run.seed);
-    Fill(run, RunScenario(run.spec, options.run));
+    Run(run, options.run);
     if (!run.ok) {
       // CAS-min: remember the lowest failing index.
       std::uint64_t seen = first_fail.load(std::memory_order_relaxed);

@@ -52,6 +52,8 @@ struct SeedRun {
   std::map<std::string, Bytes> file_sizes;
   Time sim_time = 0;
   std::uint64_t spans_dropped = 0;
+  /// The run's log lines, as they would have gone to stderr.
+  std::string log;
 
   Bytes total_bytes() const {
     Bytes total = 0;

@@ -154,7 +154,7 @@ placement::DhpWriterChain& UniviStor::Chain(FileInfo& info, vmpi::ProgramId prog
   // first_cache_layer == kPfs: no cache layers, everything spills to disk.
 
   auto chain = std::make_unique<placement::DhpWriterChain>(
-      storage::LogKey{OpenOrCreate(info.name), producer}, std::move(stores), requested);
+      storage::LogKey{OpenOrCreate(info.name), producer}, stores, requested);
   auto [it, inserted] = info.chains.emplace(producer, std::move(chain));
   assert(inserted);
   return *it->second;
@@ -358,11 +358,6 @@ sim::Task UniviStor::ReplicateTask(int node, storage::FileId fid, ProducerId pro
 void UniviStor::FailNode(int node) {
   if (!failed_nodes_.insert(node).second) return;
   obs::Count("fault.node_failures");
-  if (node >= 0 && node < static_cast<int>(node_dram_.size())) {
-    node_dram_[static_cast<std::size_t>(node)]->MarkLost();
-    if (node_ssd_[static_cast<std::size_t>(node)] != nullptr)
-      node_ssd_[static_cast<std::size_t>(node)]->MarkLost();
-  }
   if (!config_.recovery.enabled) return;
 
   // Metadata range-repartitioning: retire every metadata server hosted on

@@ -1,11 +1,14 @@
 # Runs a command-line tool once and checks how it ends. Invoked by ctest as
 #   cmake -DTOOL=<binary> -DARGS=<flags joined by '|'> [-DEXPECT_RC=<code>]
 #         [-DEXPECT_STDOUT=<text>] [-DEXPECT_STDERR=<text>]
+#         [-DSAME_AS=<flags joined by '|'>]
 #         [-DUVREPORT=<uvreport> -DGOLDEN=<golden.json> -DREPORT=<out.json>]
 #         -P cli_test.cmake
 # The exit code must equal EXPECT_RC (default 0): a crash reports a signal,
 # never a matching code. EXPECT_STDOUT / EXPECT_STDERR must appear
-# verbatim. With GOLDEN, the run writes its metrics report to REPORT and
+# verbatim. With SAME_AS, a second run with those flags must end with the
+# same code and print the same stdout and stderr byte for byte. With
+# GOLDEN, the run writes its metrics report to REPORT and
 # `uvreport --diff GOLDEN REPORT` must find no meaningful shift.
 string(REPLACE "|" ";" args "${ARGS}")
 if(NOT DEFINED EXPECT_RC)
@@ -33,6 +36,18 @@ foreach(stream STDOUT STDERR)
     endif()
   endif()
 endforeach()
+
+if(DEFINED SAME_AS)
+  string(REPLACE "|" ";" same_args "${SAME_AS}")
+  execute_process(COMMAND "${TOOL}" ${same_args}
+                  RESULT_VARIABLE same_rc OUTPUT_VARIABLE same_out ERROR_VARIABLE same_err)
+  foreach(part rc out err)
+    if(NOT "${same_${part}}" STREQUAL "${${part}}")
+      message(FATAL_ERROR "${TOOL} ${same_args}: ${part} differs from ${TOOL} ${args}\n"
+              "--- ${args}:\n${${part}}\n--- ${same_args}:\n${same_${part}}")
+    endif()
+  endforeach()
+endif()
 
 if(DEFINED GOLDEN)
   execute_process(COMMAND "${UVREPORT}" --diff "${GOLDEN}" "${REPORT}"

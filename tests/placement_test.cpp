@@ -165,24 +165,6 @@ TEST(Dhp, PfsOnlyChainWritesThePfsAndCountsNoSpill) {
   EXPECT_EQ(recorder.metrics().GetCounter("placement.spills").value(), 0u);
 }
 
-TEST(Dhp, FreeRecyclesLogSpace) {
-  DhpFixture f;
-  auto chain = f.MakeChain(300, 0);
-  auto placements = chain.Append(300);
-  ASSERT_EQ(placements.size(), 1u);
-  ASSERT_TRUE(chain.Free(placements[0]).ok());
-  EXPECT_EQ(chain.PlacedOn(Layer::kDram), 0u);
-  // Chunks recycle LIFO, so the re-append may come back as several
-  // non-contiguous extents — but all of them in the fast layer.
-  auto again = chain.Append(300);
-  Bytes total = 0;
-  for (const auto& p : again) {
-    EXPECT_EQ(p.layer, Layer::kDram) << "space reclaimed in the fast layer";
-    total += p.extent.len;
-  }
-  EXPECT_EQ(total, 300u);
-}
-
 TEST(Dhp, ChainsSharingALayerStoreCompeteForChunks) {
   DhpFixture f;  // dram: 1000 bytes capacity, 100-byte chunks
   DhpWriterChain a(storage::LogKey{1, 0}, {&f.dram}, {600});

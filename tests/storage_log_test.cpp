@@ -1,4 +1,4 @@
-// Tests for the log-structured store: free-chunk stack, append cascade,
+// Tests for the log-structured store: chunk allocation order, append cascade,
 // chunk recycling (§II-B1).
 #include <gtest/gtest.h>
 
@@ -11,26 +11,44 @@
 namespace uvs::storage {
 namespace {
 
-TEST(FreeChunkStack, PopsLowestFirstInitially) {
-  FreeChunkStack stack(4);
-  EXPECT_EQ(*stack.Pop(), 0u);
-  EXPECT_EQ(*stack.Pop(), 1u);
+// Chunk ids: the most recently freed first (LIFO), else the lowest
+// never-used id — the order §II-B1's free-chunk stack gives when it starts
+// holding every id with the lowest on top.
+Bytes FirstAddr(LogFile& log, Bytes len) { return log.AppendUpTo(len).at(0).addr; }
+
+TEST(LogFile, FreshChunksOpenInAscendingOrder) {
+  LogFile log(/*capacity=*/4 * 256, /*chunk_size=*/256);
+  for (Bytes chunk = 0; chunk < 4; ++chunk) EXPECT_EQ(FirstAddr(log, 256), chunk * 256);
 }
 
-TEST(FreeChunkStack, LifoReuse) {
-  FreeChunkStack stack(4);
-  (void)stack.Pop();  // 0
-  (void)stack.Pop();  // 1
-  stack.Push(0);
-  EXPECT_EQ(*stack.Pop(), 0u) << "most recently freed chunk pops first";
+TEST(LogFile, FreedChunksComeBackLifoBeforeFreshOnes) {
+  LogFile log(4 * 256, 256);
+  (void)log.AppendUpTo(3 * 256);  // chunks 0, 1, 2
+  ASSERT_TRUE(log.Free(Extent{0, 256}).ok());
+  ASSERT_TRUE(log.Free(Extent{2 * 256, 256}).ok());
+  EXPECT_EQ(FirstAddr(log, 256), 2u * 256) << "most recently freed chunk first";
+  EXPECT_EQ(FirstAddr(log, 256), 0u);
+  EXPECT_EQ(FirstAddr(log, 256), 3u * 256) << "then the next never-used chunk";
 }
 
-TEST(FreeChunkStack, ExhaustionReturnsError) {
-  FreeChunkStack stack(1);
-  EXPECT_TRUE(stack.Pop().ok());
-  auto r = stack.Pop();
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+TEST(LogFile, FreeAtOrPastTheHighWaterChunkIsADoubleFree) {
+  LogFile log(4 * 256, 256);
+  (void)log.AppendUpTo(256);  // only chunk 0 opened
+  for (const Extent& never_written : {Extent{256, 10}, Extent{3 * 256, 256}, Extent{200, 100}}) {
+    const Status status = log.Free(never_written);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(status.message(), "double free in chunk");
+  }
+}
+
+TEST(LogFile, RunningOutOfRecycledChunksReturnsPartialThenEmpty) {
+  LogFile log(2 * 256, 256);
+  (void)log.AppendUpTo(2 * 256);  // every chunk opened
+  ASSERT_TRUE(log.Free(Extent{0, 256}).ok());
+  EXPECT_EQ(log.appendable(), 256u);
+  EXPECT_EQ(log.AppendUpTo(3 * 256), (std::vector<Extent>{{0, 256}}));
+  EXPECT_TRUE(log.AppendUpTo(1).empty());
+  EXPECT_EQ(log.appendable(), 0u);
 }
 
 TEST(LogFile, AppendWithinOneChunk) {
@@ -206,16 +224,6 @@ TEST(LayerStore, TooSmallCapacityRejected) {
 TEST(LayerStore, DifferentFilesGetDifferentLogs) {
   LayerStore store(hw::Layer::kDram, 10 * 1024, 1024);
   EXPECT_NE(store.OpenLog(LogKey{1, 0}, 1024), store.OpenLog(LogKey{2, 0}, 1024));
-}
-
-TEST(LayerStore, DeleteLogReturnsConsumedChunks) {
-  LayerStore store(hw::Layer::kDram, 4 * 1024, 1024);
-  LogFile* log = store.OpenLog(LogKey{1, 0}, 2 * 1024);
-  (void)log->AppendUpTo(2 * 1024);
-  EXPECT_EQ(store.used(), 2u * 1024);
-  ASSERT_TRUE(store.DeleteLog(LogKey{1, 0}).ok());
-  EXPECT_EQ(store.used(), 0u);
-  EXPECT_FALSE(store.DeleteLog(LogKey{1, 0}).ok());
 }
 
 }  // namespace

@@ -1,46 +1,34 @@
-// Performance-trajectory runner: measures kernel microbenchmark
-// throughput plus wall-clock smoke times for two figure workloads, and
-// appends the results as one labelled entry to a machine-readable JSON
-// file (default: BENCH_sim.json). Re-running at different commits with
-// different labels builds up a before/after trajectory of simulator
-// performance; docs/PERFORMANCE.md documents the schema and workflow.
+// Performance-trajectory runner: times the parallel runners serially and
+// fanned across a sim::WorkerPool, and appends the results as one
+// labelled entry to a machine-readable JSON file (default:
+// BENCH_sim.json). Re-running at different commits with different labels
+// builds up a before/after trajectory; docs/PERFORMANCE.md documents the
+// schema and workflow.
 //
 // Usage (`bench_trajectory --help` lists every flag):
 //   bench_trajectory [--smoke] [--label NAME] [--out PATH] [-j N]
 //
-// Besides the kernel microbenchmarks and figure smokes, the entry carries
-// parallel-runner metrics: the same fuzz seed sweep and cluster
-// solo-baseline warmup timed serially and again fanned across a
-// sim::WorkerPool, plus the speedup ratios. Both parallel paths are
-// bit-identical to their serial twins by construction (see
-// docs/PERFORMANCE.md), so the ratio is pure scheduling gain.
-//
-// Compile with -DUVS_BENCH_NO_CANCEL to build against a kernel that
-// predates Engine::ScheduleCancellable (used to produce "before" entries
-// from older commits); the timer_cancel metric is then omitted.
+// The entry carries the same fuzz seed sweep and cluster solo-baseline
+// warmup timed serially and again in parallel, plus the speedup ratios.
+// Both parallel paths are bit-identical to their serial twins by
+// construction (see docs/PERFORMANCE.md), so the ratio is pure scheduling
+// gain. Kernel throughput lives in bench/micro_sim and end-to-end host
+// cost in perfbench/.
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.hpp"
 #include "src/cluster/arrival.hpp"
 #include "src/cluster/simulation.hpp"
-#include "src/sim/engine.hpp"
-#include "src/sim/fair_share.hpp"
-#include "src/sim/task.hpp"
 #include "src/sim/worker_pool.hpp"
 #include "src/testkit/batch.hpp"
-#include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
-#include "src/workload/vpic.hpp"
 #include "tools/flag_table.hpp"
 
 using namespace uvs;
-using namespace uvs::sim;
 
 namespace {
 
@@ -48,109 +36,6 @@ using Clock = std::chrono::steady_clock;
 
 double Seconds(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
-}
-
-// --- kernel microbenchmarks (same workloads as bench/micro_sim) ---------
-
-struct ChainLink {
-  Engine* engine;
-  long* remaining;
-  void operator()() const {
-    if (--*remaining > 0) engine->Schedule(engine->Now() + 1.0, *this);
-  }
-};
-
-double EngineEventsPerSec(int chains, long events) {
-  Engine engine;
-  long remaining = events;
-  for (int i = 0; i < chains; ++i)
-    engine.Schedule(1.0 + 1e-4 * i, ChainLink{&engine, &remaining});
-  const auto t0 = Clock::now();
-  engine.Run();
-  const auto t1 = Clock::now();
-  return static_cast<double>(engine.processed_events()) / Seconds(t0, t1);
-}
-
-Task Sleeper(Engine& engine, Time dt) { co_await engine.Delay(dt); }
-
-double SpawnJoinPerSec(int procs, int rounds) {
-  const auto t0 = Clock::now();
-  long n = 0;
-  for (int r = 0; r < rounds; ++r) {
-    Engine engine;
-    for (int i = 0; i < procs; ++i)
-      engine.Spawn(Sleeper(engine, 1.0 + 1e-3 * i));
-    engine.Run();
-    n += procs;
-  }
-  const auto t1 = Clock::now();
-  return static_cast<double>(n) / Seconds(t0, t1);
-}
-
-Task StaggeredTransfer(Engine& engine, FairSharePool& pool, Time at, Bytes bytes) {
-  co_await engine.Delay(at);
-  co_await pool.Transfer(bytes);
-}
-
-double FairShareFlowsPerSec(int flows, int rounds) {
-  const auto t0 = Clock::now();
-  long n = 0;
-  for (int r = 0; r < rounds; ++r) {
-    Engine engine;
-    FairSharePool pool(engine, {.capacity = 1e9});
-    for (int i = 0; i < flows; ++i)
-      engine.Spawn(
-          StaggeredTransfer(engine, pool, 1e-3 * i, 1000 + static_cast<Bytes>(i) * 37));
-    engine.Run();
-    n += flows;
-  }
-  const auto t1 = Clock::now();
-  return static_cast<double>(n) / Seconds(t0, t1);
-}
-
-#ifndef UVS_BENCH_NO_CANCEL
-double TimerCancelOpsPerSec(int live, long ops) {
-  Engine engine;
-  std::deque<TimerHandle> timers;
-  Time at = 1.0;
-  for (int i = 0; i < live; ++i)
-    timers.push_back(engine.ScheduleCancellable(at += 1.0, [] {}));
-  const auto t0 = Clock::now();
-  for (long i = 0; i < ops; ++i) {
-    timers.front().Cancel();
-    timers.pop_front();
-    timers.push_back(engine.ScheduleCancellable(at += 1.0, [] {}));
-  }
-  const auto t1 = Clock::now();
-  return static_cast<double>(ops) / Seconds(t0, t1);
-}
-#endif
-
-// --- figure-workload smokes (wall-clock, end to end) --------------------
-
-double Fig5aSmokeWallSec(int procs, Bytes bytes_per_proc) {
-  const auto t0 = Clock::now();
-  univistor::Config config;  // IA placement + COC on, the paper's default
-  auto setup = bench::MakeUniviStor(procs, config);
-  workload::RunHdfMicro(*setup.scenario, setup.app, *setup.driver,
-                        {.bytes_per_proc = bytes_per_proc, .file_name = "traj.h5"});
-  const auto t1 = Clock::now();
-  return Seconds(t0, t1);
-}
-
-double VpicSpillSmokeWallSec(int procs, int steps, Bytes bytes_per_var) {
-  const auto t0 = Clock::now();
-  univistor::Config config;
-  config.first_cache_layer = hw::Layer::kDram;
-  auto setup = bench::MakeUniviStor(procs, config);
-  workload::RunVpic(*setup.scenario, setup.app, *setup.driver,
-                    {.steps = steps,
-                     .vars = 8,
-                     .bytes_per_var = bytes_per_var,
-                     .compute_time = 60.0,
-                     .file_prefix = "traj_vpic"});
-  const auto t1 = Clock::now();
-  return Seconds(t0, t1);
 }
 
 // --- parallel-runner metrics (serial vs WorkerPool wall clock) ----------
@@ -275,7 +160,7 @@ struct Args {
 
 constexpr flags::Flag<Args> kFlags[] = {
     {"--smoke", "", flags::SetSwitch<&Args::smoke>,
-     "smaller event counts / payloads (CI-friendly,\nseconds)"},
+     "fewer fuzz seeds and cluster jobs (CI-friendly,\nseconds)"},
     {"--label", "=NAME", flags::SetText<&Args::label>, "entry label (default \"run\")"},
     {"--out", "=PATH", flags::SetText<&Args::out>,
      "output JSON path (default BENCH_sim.json in\nthe CWD)"},
@@ -289,37 +174,11 @@ int main(int argc, char** argv) {
   const Args args = flags::Parse(argc, argv, "bench_trajectory", kFlags);
   const int workers = args.jobs > 0 ? args.jobs : sim::WorkerPool::HardwareThreads();
 
-  const long chain_events = args.smoke ? 400000 : 2000000;
-  const int sj_rounds = args.smoke ? 5 : 30;
-  const int fs_rounds = args.smoke ? 20 : 100;
-  const Bytes fig5a_bytes = args.smoke ? 16_MiB : 256_MiB;
-  const int vpic_steps = args.smoke ? 2 : 10;
-  const Bytes vpic_var_bytes = args.smoke ? 4_MiB : 32_MiB;
-
   std::vector<Metric> metrics;
   const auto add = [&](const char* name, double value) {
     metrics.push_back({name, value});
     std::printf("%-40s %.6g\n", name, value);
   };
-
-  add("engine_chain64_events_per_sec", EngineEventsPerSec(64, chain_events));
-  add("engine_chain4096_events_per_sec", EngineEventsPerSec(4096, chain_events));
-  add("spawn_join_procs_per_sec", SpawnJoinPerSec(10000, sj_rounds));
-  add("fair_share_staggered_flows_per_sec", FairShareFlowsPerSec(1024, fs_rounds));
-#ifndef UVS_BENCH_NO_CANCEL
-  add("timer_cancel_ops_per_sec",
-      TimerCancelOpsPerSec(4096, args.smoke ? 400000 : 2000000));
-#endif
-  for (int procs : {64, 256}) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "fig5a_ia_smoke_wall_sec_p%d", procs);
-    add(name, Fig5aSmokeWallSec(procs, fig5a_bytes));
-    std::snprintf(name, sizeof(name), "vpic_spill_smoke_wall_sec_p%d", procs);
-    add(name, VpicSpillSmokeWallSec(procs, vpic_steps, vpic_var_bytes));
-  }
-  // Extreme-scale smoke: 8192 ranks with a small per-rank payload, so the
-  // cost is event-scheduling volume rather than simulated bytes.
-  add("fig5a_ia_smoke_wall_sec_p8192", Fig5aSmokeWallSec(8192, args.smoke ? 1_MiB : 4_MiB));
 
   // Parallel-runner metrics: identical work timed serially and fanned
   // across the WorkerPool. Speedup ~1.0 on a single-core host.

@@ -16,13 +16,14 @@
 //   uvfuzz --spec='procs=4 ...'   # replay a (shrunk) spec verbatim
 //
 // `-j N` drains the seed sweep across N pool workers
-// (testkit::RunSeedBatch) with byte-identical output to the serial sweep:
-// results print in seed order, the first (lowest) failing seed is the one
-// reported and shrunk, and --time-budget is one shared deadline for the
-// whole sweep rather than per-worker. Each worker runs its scenarios with
-// no recorder bound (thread-local obs:: isolation); the failing seed is
-// replayed on the main thread, where the flight recorder is bound, to
-// regenerate the ring before dumping it.
+// (testkit::RunSeedBatch) with byte-identical stdout and stderr to the
+// serial sweep: results and each seed's log lines print in seed order, the
+// first (lowest) failing seed is the one reported and shrunk, and
+// --time-budget is one shared deadline for the whole sweep rather than
+// per-worker. Each worker runs its scenarios with no recorder bound
+// (thread-local obs:: isolation); the failing seed is replayed on the main
+// thread, where the flight recorder is bound, to regenerate the ring before
+// dumping it.
 //
 // Exit codes: 0 all runs clean, 1 invariant violation or escaped
 // exception, 2 usage error.
@@ -167,6 +168,7 @@ int main(int argc, char** argv) {
     std::uint64_t completed = 0;
     for (const testkit::SeedRun& run : sweep.runs) {
       if (!run.ran) break;
+      std::fputs(run.log.c_str(), stderr);
       if (run.spans_dropped > 0)
         std::fprintf(stderr,
                      "uvfuzz: warning: seed %llu dropped %llu spans at the recorder "

@@ -410,7 +410,7 @@ int RunCluster(const Args& args) {
     std::printf("telemetry: stretch p50 %.3f p99 %.3f (sketch, rel err %.0f%%; "
                 "exact %.3f / %.3f)\n",
                 stretch.Quantile(0.5), stretch.Quantile(0.99),
-                100.0 * stretch.relative_error(), summary.p50_stretch,
+                100.0 * obs::QuantileSketch::kRelativeError, summary.p50_stretch,
                 summary.p99_stretch);
   }
   PrintSimulated(scenario.engine());
